@@ -2,17 +2,17 @@
 """Emit a compact perf-trail JSON from the smoke-tier benches.
 
 Runs `micro_core --smoke --benchmark_format=json`, extracts the probe
-throughput benches (BM_ProbeCsr / BM_ProbeVecOfVec / BM_ProbeSwap /
-BM_ApplySwap / BM_ProbeBatch{4,8,16,32}) keyed by circuit, and writes a
-small JSON file with ns per candidate per bench plus the
-CSR-vs-vector-of-vectors and batch8-vs-scalar probe speedups per circuit. With --macro it
+throughput benches (BM_ProbeSwap / BM_ApplySwap / BM_ProbeBatch{4,8,16,32})
+keyed by circuit, and writes a small JSON file with ns per candidate per
+bench plus the batch8-vs-width-1 probe speedup per circuit. With --macro it
 additionally runs `macro_scale --smoke` and folds its per-circuit scale
 report (build/setup/probe times, the short engine runs, and the
-parallel-shared strong-scaling counters at 1/2/4/8 threads) into the output. CI runs this on every push and uploads the result as an
-artifact (BENCH_baseline.json), so future PRs have a trajectory of
-throughput numbers to compare against; the checked-in
-bench/BENCH_baseline.json is the snapshot taken when the CSR topology
-landed (macro_scale numbers added with the scale tier).
+parallel-shared strong-scaling counters at 1/2/4/8 threads) into the
+output. CI runs this on every push and uploads the result as an artifact
+(BENCH_baseline.json), so future PRs have a trajectory of throughput
+numbers to compare against; the checked-in bench/BENCH_baseline.json is the
+latest snapshot. The retired CSR-vs-vector-of-vectors and
+probe-vs-apply/undo ratios are recorded in CHANGES.md.
 
 Both inputs are schema-validated: a tracked bench or counter that goes
 missing (renamed benchmark, label format drift, a MACRO line losing a key)
@@ -28,9 +28,8 @@ import json
 import subprocess
 import sys
 
-TRACKED_PREFIXES = ("BM_ProbeCsr", "BM_ProbeVecOfVec", "BM_ProbeSwap",
-                    "BM_ApplySwap", "BM_ProbeBatch4", "BM_ProbeBatch8",
-                    "BM_ProbeBatch16", "BM_ProbeBatch32")
+TRACKED_PREFIXES = ("BM_ProbeSwap", "BM_ApplySwap", "BM_ProbeBatch4",
+                    "BM_ProbeBatch8", "BM_ProbeBatch16", "BM_ProbeBatch32")
 
 # One BM_ProbeBatchN iteration scores N candidates; real_time is divided by
 # the width so every tracked number is ns per candidate, comparable with
@@ -68,7 +67,7 @@ def run_micro(binary):
 def parse_micro(raw):
     benches = {}
     for entry in raw.get("benchmarks", []):
-        name = entry["name"]  # e.g. BM_ProbeCsr/3
+        name = entry["name"]  # e.g. BM_ProbeSwap/3
         bench = name.split("/")[0]
         if bench not in TRACKED_PREFIXES:
             continue
@@ -169,12 +168,6 @@ def main():
     raw = run_micro(args.binary)
     benches = parse_micro(raw)
 
-    speedup = {}
-    csr = benches["BM_ProbeCsr"]
-    vov = benches["BM_ProbeVecOfVec"]
-    for circuit in sorted(set(csr) & set(vov)):
-        speedup[circuit] = round(vov[circuit] / csr[circuit], 3)
-
     batch_speedup = {}
     swap = benches["BM_ProbeSwap"]
     batch8 = benches["BM_ProbeBatch8"]
@@ -186,7 +179,6 @@ def main():
         "unit": "ns per candidate (real time; batch benches divided by width)",
         "context": raw.get("context", {}),
         "benchmarks": benches,
-        "probe_speedup_csr_vs_vecofvec": speedup,
         "probe_batch_speedup": batch_speedup,
     }
     if args.macro:
@@ -194,8 +186,8 @@ def main():
     with open(args.output, "w") as f:
         json.dump(result, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"wrote {args.output}: probe speedup per circuit {speedup}")
-    print(f"  batch8-vs-scalar probe speedup {batch_speedup}")
+    print(f"wrote {args.output}: batch8-vs-width-1 probe speedup "
+          f"{batch_speedup}")
     if args.macro:
         for circuit, entry in sorted(result["macro_scale"].items()):
             scaling = entry["shared_scaling"]

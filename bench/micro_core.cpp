@@ -4,7 +4,6 @@
 // the ablation discussion in DESIGN.md.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -116,228 +115,26 @@ void BM_ProbeBatch32(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeBatch32)->DenseRange(0, 3);
 
-// -- CSR vs vector-of-vectors probe throughput ------------------------------
-//
-// The core of one trial probe is: gather the union of nets incident to the
-// two swapped cells, recompute each net's bounding box over its pins, and
-// accumulate the weighted half-perimeters. BM_ProbeCsr runs that pass as
-// the library ships it — flat netlist::Topology adjacency and the flat
-// per-cell position arrays. BM_ProbeVecOfVec runs the identical arithmetic
-// through a faithful replica of the pre-Topology data path: per-net Net
-// structs (name string included, as Netlist stores them) with
-// heap-allocated sink vectors, a vector-of-vectors incident-net index, and
-// the old per-pin position lookup (Cell-struct movable check, then
-// slot -> row division and row_y for gates, layout pad table for pads).
-// The pair measures what the layout refactor bought end to end on one
-// probe pass. Expected >=1.3x on c3540 (tracked in BENCH_baseline.json via
-// bench/dump_json.py).
-
-struct VecOfVecNet {
-  std::string name;  // the old Net struct carried its name before the pins
-  netlist::CellId driver = netlist::kNoCell;
-  std::vector<netlist::CellId> sinks;
-  double weight = 1.0;
-};
-
-struct VecOfVecTopology {
-  const netlist::Netlist* nl;
-  std::vector<VecOfVecNet> nets;
-  std::vector<std::vector<netlist::NetId>> nets_of;
-
-  explicit VecOfVecTopology(const netlist::Netlist& netlist) : nl(&netlist) {
-    nets.reserve(nl->num_nets());
-    for (netlist::NetId n = 0; n < nl->num_nets(); ++n) {
-      const auto& net = nl->net(n);
-      nets.push_back({net.name, net.driver, net.sinks, net.weight});
-    }
-    nets_of.resize(nl->num_cells());
-    for (netlist::CellId c = 0; c < nl->num_cells(); ++c) {
-      const auto incident = nl->nets_of(c);
-      nets_of[c].assign(incident.begin(), incident.end());
-    }
-  }
-
-  // The pre-refactor Placement::position(): a Cell-struct load for the
-  // movable check, then slot -> row division + row_y recomputation per pin
-  // (pads from the layout table).
-  placement::Point position(const placement::Placement& p,
-                            netlist::CellId cell) const {
-    if (!nl->cell(cell).movable()) return p.layout().pad_position(cell);
-    const placement::SlotId slot = p.slot_of(cell);
-    const placement::Point modern = p.position(cell);
-    return placement::Point{modern.x,
-                            p.layout().row_y(p.layout().row_of_slot(slot))};
-  }
-};
-
-struct ProbeScratch {
-  std::vector<std::uint64_t> stamp;
-  std::uint64_t epoch = 0;
-  std::vector<netlist::NetId> nets;
-
-  explicit ProbeScratch(std::size_t num_nets) : stamp(num_nets, 0) {
-    nets.reserve(num_nets);
-  }
-};
-
-inline void grow_box(placement::NetBox& box, const placement::Point p) {
-  box.min_x = std::min(box.min_x, p.x);
-  box.max_x = std::max(box.max_x, p.x);
-  box.min_y = std::min(box.min_y, p.y);
-  box.max_y = std::max(box.max_y, p.y);
-}
-
-double probe_pair_csr(const netlist::Topology& topo, const placement::Placement& p,
-                      netlist::CellId a, netlist::CellId b, ProbeScratch& fx) {
-  ++fx.epoch;
-  fx.nets.clear();
-  for (netlist::CellId cell : {a, b}) {
-    for (netlist::NetId net : topo.nets_of(cell)) {
-      if (fx.stamp[net] != fx.epoch) {
-        fx.stamp[net] = fx.epoch;
-        fx.nets.push_back(net);
-      }
-    }
-  }
-  double total = 0.0;
-  for (netlist::NetId net : fx.nets) {
-    const auto pins = topo.pins(net);
-    const placement::Point d = p.position(pins.front());
-    placement::NetBox box{d.x, d.x, d.y, d.y};
-    for (netlist::CellId sink : pins.subspan(1)) grow_box(box, p.position(sink));
-    total += topo.net_weight(net) * box.half_perimeter();
-  }
-  return total;
-}
-
-double probe_pair_vecofvec(const VecOfVecTopology& topo,
-                           const placement::Placement& p, netlist::CellId a,
-                           netlist::CellId b, ProbeScratch& fx) {
-  ++fx.epoch;
-  fx.nets.clear();
-  for (netlist::CellId cell : {a, b}) {
-    for (netlist::NetId net : topo.nets_of[cell]) {
-      if (fx.stamp[net] != fx.epoch) {
-        fx.stamp[net] = fx.epoch;
-        fx.nets.push_back(net);
-      }
-    }
-  }
-  double total = 0.0;
-  for (netlist::NetId net : fx.nets) {
-    const VecOfVecNet& n = topo.nets[net];
-    const placement::Point d = topo.position(p, n.driver);
-    placement::NetBox box{d.x, d.x, d.y, d.y};
-    for (netlist::CellId sink : n.sinks) grow_box(box, topo.position(p, sink));
-    total += n.weight * box.half_perimeter();
-  }
-  return total;
-}
-
-template <typename ProbeFn>
-void run_probe_topology_bench(benchmark::State& state, ProbeFn&& probe) {
-  const auto& nl = circuit_for(static_cast<int>(state.range(0)));
-  const placement::Layout layout(nl);
-  Rng rng(11);
-  const auto p = placement::Placement::random(nl, layout, rng);
-  ProbeScratch fx(nl.num_nets());
-  const auto& movable = nl.movable_cells();
-  for (auto _ : state) {
-    const auto [ia, ib] = rng.distinct_pair(movable.size());
-    benchmark::DoNotOptimize(probe(p, movable[ia], movable[ib], fx));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(nl.name());
-}
-
-void BM_ProbeCsr(benchmark::State& state) {
-  const auto& nl = circuit_for(static_cast<int>(state.range(0)));
-  const auto& topo = nl.topology();
-  run_probe_topology_bench(
-      state, [&topo](const placement::Placement& p, netlist::CellId a,
-                     netlist::CellId b, ProbeScratch& fx) {
-        return probe_pair_csr(topo, p, a, b, fx);
-      });
-}
-BENCHMARK(BM_ProbeCsr)->DenseRange(0, 3);
-
-void BM_ProbeVecOfVec(benchmark::State& state) {
-  const auto& nl = circuit_for(static_cast<int>(state.range(0)));
-  const VecOfVecTopology topo(nl);
-  run_probe_topology_bench(
-      state, [&topo](const placement::Placement& p, netlist::CellId a,
-                     netlist::CellId b, ProbeScratch& fx) {
-        return probe_pair_vecofvec(topo, p, a, b, fx);
-      });
-}
-BENCHMARK(BM_ProbeVecOfVec)->DenseRange(0, 3);
-
-// The compound-move trial loop, both ways, at one level of `width` trials
-// plus the committed winner (the winner is applied and immediately undone so
-// each iteration measures the same distribution of states). The probe-based
-// loop is the shipped code path; the apply/undo loop is the pre-refactor
-// baseline kept for regression tracking — the probe loop is expected to stay
-// >=1.5x faster at c3540 scale.
-void trial_level_apply_undo(cost::Evaluator& eval, const tabu::CellRange& range,
-                            std::size_t width, Rng& rng) {
-  tabu::Move best{};
-  double best_cost = 0.0;
-  bool have = false;
-  for (std::size_t t = 0; t < width; ++t) {
-    const auto move = tabu::sample_move(eval.placement().netlist(), range, rng);
-    const double after = eval.apply_swap(move.a, move.b);
-    eval.apply_swap(move.a, move.b);  // undo trial
-    if (!have || after < best_cost) {
-      best = move;
-      best_cost = after;
-      have = true;
-    }
-  }
-  eval.apply_swap(best.a, best.b);
-  eval.apply_swap(best.a, best.b);  // revert the winner: keep state stable
-}
-
-void trial_level_probe(cost::Evaluator& eval, const tabu::CellRange& range,
-                       std::size_t width, Rng& rng) {
-  tabu::Move best{};
-  double best_cost = 0.0;
-  bool have = false;
-  for (std::size_t t = 0; t < width; ++t) {
-    const auto move = tabu::sample_move(eval.placement().netlist(), range, rng);
-    const double after = eval.probe_swap(move.a, move.b);
-    if (!have || after < best_cost) {
-      best = move;
-      best_cost = after;
-      have = true;
-    }
-  }
-  eval.commit_swap(best.a, best.b);  // promotes the probe if the last trial won
-  eval.apply_swap(best.a, best.b);   // revert the winner: keep state stable
-}
-
-template <typename LevelFn>
-void run_trial_level_bench(benchmark::State& state, LevelFn&& level) {
+// The compound-move trial loop at one level of eight trials plus the
+// committed winner (the winner is applied and immediately undone so each
+// iteration measures the same distribution of states).
+void BM_TrialLevelProbe(benchmark::State& state) {
   const auto& nl = circuit_for(static_cast<int>(state.range(0)));
   const placement::Layout layout(nl);
   auto eval = make_eval(nl, layout, 9);
   Rng rng(10);
   const tabu::CellRange range = tabu::full_range(nl);
-  const std::size_t width = 8;
+  constexpr std::size_t kWidth = 8;
   for (auto _ : state) {
-    level(*eval, range, width, rng);
+    double committed = 0.0;
+    const tabu::Move best = tabu::commit_best_of_trials(
+        *eval, nl.movable_cells(), range, kWidth, rng, /*memory=*/nullptr,
+        /*use_memory=*/false, &committed);
+    eval->apply_swap(best.a, best.b);  // revert the winner: keep state stable
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * width));
+      static_cast<std::int64_t>(state.iterations() * kWidth));
   state.SetLabel(nl.name() + " width=8");
-}
-
-void BM_TrialLevelApplyUndo(benchmark::State& state) {
-  run_trial_level_bench(state, trial_level_apply_undo);
-}
-BENCHMARK(BM_TrialLevelApplyUndo)->DenseRange(0, 3);
-
-void BM_TrialLevelProbe(benchmark::State& state) {
-  run_trial_level_bench(state, trial_level_probe);
 }
 BENCHMARK(BM_TrialLevelProbe)->DenseRange(0, 3);
 

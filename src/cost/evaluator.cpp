@@ -19,11 +19,15 @@ Evaluator::Evaluator(placement::Placement placement,
       topology_(&placement_.netlist().topology()) {
   PTS_CHECK(params_.rebuild_interval >= 1);
   // Size every scratch buffer to its worst case up front so that neither
-  // probe_swap nor apply_swap/commit_probe allocates in steady state
-  // (asserted by topology_test's allocation-counting guard).
+  // probing nor apply_swap/commit_probe allocates in steady state (asserted
+  // by topology_test's allocation-counting guard).
   moved_scratch_.reserve(placement_.netlist().num_cells());
   change_scratch_.reserve(placement_.netlist().num_nets());
   box_scratch_.reserve(placement_.netlist().num_nets());
+  const auto px = placement_.positions_x();
+  const auto py = placement_.positions_y();
+  shadow_x_.assign(px.begin(), px.end());
+  shadow_y_.assign(py.begin(), py.end());
 }
 
 Objectives Evaluator::objectives() const {
@@ -55,42 +59,17 @@ double Evaluator::apply_swap(CellId a, CellId b) {
 }
 
 double Evaluator::probe_swap(CellId a, CellId b) {
-  // Same pass as apply_swap up to and including box recomputation, but the
-  // new boxes, the HPWL delta, and the path sums land in scratch; the
-  // geometry swap is reverted before returning (swap_cells is an exact
-  // involution), so no observable state changes.
-  moved_scratch_.clear();
-  placement_.swap_cells(a, b, &moved_scratch_);
-
-  marker_.begin();
-  for (CellId cell : moved_scratch_) marker_.add_nets_of(*topology_, cell);
-
-  change_scratch_.clear();
-  probe_delta_ = hpwl_.probe_nets(marker_.nets(), &box_scratch_, &change_scratch_);
-
-  // Mirror objectives()/cost() term by term: `total_ + delta` is the exact
-  // expression update_nets() folds into the running total, and peek_delta
-  // replays the apply_net_change/max_delay sequence on scratch sums.
-  Objectives o;
-  o.wirelength = hpwl_.total() + probe_delta_;
-  o.delay = timer_.peek_delta(change_scratch_);
-  o.area = placement_.max_row_extent() * placement_.layout().core_height();
-  const double probed_cost = goals_.cost(o);
-
-  placement_.swap_cells(a, b);  // restore geometry
-  probe_a_ = a;
-  probe_b_ = b;
-  probe_valid_ = true;
+  const Move move{a, b};
+  double probed_cost = 0.0;
+  probe_batch({&move, 1}, {&probed_cost, 1});
   return probed_cost;
 }
 
 void Evaluator::probe_batch(std::span<const Move> moves,
                             std::span<double> costs) {
   PTS_DCHECK(costs.size() == moves.size());
-  // A batch leaves no pending probe (its scratch is per-candidate, not
-  // per-pair); winners commit through commit_swap's apply_swap fallback,
-  // which is bit-identical by contract.
   probe_valid_ = false;
+  if (moves.empty()) return;
 
   // The timing replay only folds nets that lie on a monitored path; any
   // other net's NetChange is an exact no-op in peek_delta's sum (its
@@ -108,17 +87,13 @@ void Evaluator::probe_batch(std::span<const Move> moves,
   }
   const auto px = placement_.positions_x();
   const auto py = placement_.positions_y();
-  if (shadow_x_.empty()) {
-    // Lazy materialization: this call is the shadow's warm-up.
-    shadow_x_.assign(px.begin(), px.end());
-    shadow_y_.assign(py.begin(), py.end());
-  }
 
   batch_changes_.clear();
   batch_offsets_.clear();
   batch_offsets_.push_back(0);
   batch_objs_.resize(moves.size());
   const double area_scale = placement_.layout().core_height();
+  const std::size_t last = moves.size() - 1;
 
   for (std::size_t i = 0; i < moves.size(); ++i) {
     // Swap-free scoring: describe the would-be geometry as an overlay, mark
@@ -126,7 +101,9 @@ void Evaluator::probe_batch(std::span<const Move> moves,
     // cells, stage the overlaid coordinates of those cells into the shadow
     // arrays (O(moved) writes), and recompute the touched boxes with the
     // plain-load kernel. The shadow is restored to the committed positions
-    // before the next candidate.
+    // before the next candidate. The last candidate also keeps its boxes
+    // and delta (moved_scratch_ and marker_ keep its cells and nets), so
+    // commit_probe() can promote it.
     moved_scratch_.clear();
     const placement::SwapOverlay ov = placement::build_swap_overlay(
         placement_, moves[i].a, moves[i].b, &moved_scratch_);
@@ -138,9 +115,9 @@ void Evaluator::probe_batch(std::span<const Move> moves,
     }
 
     change_scratch_.clear();
-    const double delta = hpwl_.probe_nets_batch(shadow_x_, shadow_y_,
-                                                marker_.nets(),
-                                                &change_scratch_);
+    const double delta = hpwl_.probe_nets_batch(
+        shadow_x_, shadow_y_, marker_.nets(), &change_scratch_,
+        i == last ? &box_scratch_ : nullptr);
     for (CellId cell : moved_scratch_) {
       shadow_x_[cell] = px[cell];
       shadow_y_[cell] = py[cell];
@@ -149,26 +126,34 @@ void Evaluator::probe_batch(std::span<const Move> moves,
       if (pset.net_on_path(change.net)) batch_changes_.push_back(change);
     }
     batch_offsets_.push_back(static_cast<std::uint32_t>(batch_changes_.size()));
+    // `total_ + delta` is the exact expression update_nets() folds into the
+    // running total.
     batch_objs_[i].wirelength = hpwl_.total() + delta;
     batch_objs_[i].area = ov.max_extent * area_scale;
+    probe_delta_ = delta;
   }
 
+  // peek_delta_batch replays the apply_net_change/max_delay sequence per
+  // candidate on scratch sums, which are left holding the last candidate's.
   batch_delays_.resize(moves.size());
   timer_.peek_delta_batch(batch_changes_, batch_offsets_, batch_delays_);
   for (std::size_t i = 0; i < moves.size(); ++i) {
     batch_objs_[i].delay = batch_delays_[i];
   }
   goals_.cost_batch(batch_objs_, costs);
+  probe_a_ = moves[last].a;
+  probe_b_ = moves[last].b;
+  probe_valid_ = true;
 }
 
 double Evaluator::commit_probe() {
   PTS_CHECK_MSG(probe_valid_,
-                "commit_probe() without an immediately preceding probe_swap()");
+                "commit_probe() without an immediately preceding probe");
   probe_valid_ = false;
   placement_.swap_cells(probe_a_, probe_b_);
-  // moved_scratch_ still holds the probe's moved set (the probe's restoring
-  // swap did not refill it, and probe_valid_ guarantees no intervening
-  // mutation) — the same cells just moved again.
+  // moved_scratch_ still holds the pending candidate's moved set
+  // (build_swap_overlay reports the cells swap_cells moves, and
+  // probe_valid_ guarantees no intervening mutation).
   refresh_shadow(moved_scratch_);
   hpwl_.commit_probe(marker_.nets(), box_scratch_, probe_delta_);
   timer_.commit_peek();
@@ -187,12 +172,10 @@ double Evaluator::commit_swap(CellId a, CellId b) {
 void Evaluator::reset_placement(const std::vector<CellId>& cell_at_slot) {
   probe_valid_ = false;
   placement_.assign_slots(cell_at_slot);
-  if (!shadow_x_.empty()) {
-    const auto px = placement_.positions_x();
-    const auto py = placement_.positions_y();
-    shadow_x_.assign(px.begin(), px.end());
-    shadow_y_.assign(py.begin(), py.end());
-  }
+  const auto px = placement_.positions_x();
+  const auto py = placement_.positions_y();
+  shadow_x_.assign(px.begin(), px.end());
+  shadow_y_.assign(py.begin(), py.end());
   rebuild_all();
 }
 
@@ -219,7 +202,6 @@ void Evaluator::restore_checkpoint(const CheckpointState& st) {
 }
 
 void Evaluator::refresh_shadow(std::span<const CellId> cells) {
-  if (shadow_x_.empty()) return;
   const auto px = placement_.positions_x();
   const auto py = placement_.positions_y();
   for (CellId c : cells) {

@@ -5,16 +5,16 @@
 // point used by the tabu engine and by every candidate-list worker.
 //
 // Trial loops score candidate swaps with the probe/commit idiom
-// (DESIGN.md §3): probe_swap() computes the would-be cost into member
-// scratch without changing any observable state, and commit_probe()
-// promotes the immediately preceding probe for the price of the bookkeeping
-// alone — so a rejected trial costs one incremental pass instead of the
-// mutate-and-undo pair's two:
+// (DESIGN.md §3). One kernel, probe_batch(), scores N candidates without
+// changing any observable state; probe_swap() is its width-1 call. The
+// last candidate of a probe stays pending, and commit_probe() promotes it
+// for the price of the bookkeeping alone — so a rejected trial costs one
+// incremental pass instead of the mutate-and-undo pair's two:
 //
 //   double after = eval.probe_swap(a, b);   // no observable state change
 //   if (accept) eval.commit_probe();        // promote that probe; else: done
 //
-// probe_swap() is bit-identical to what apply_swap() would have returned
+// A probed cost is bit-identical to what apply_swap() would have returned
 // against the same running totals (same floating-point summation order), and
 // a commit leaves state bit-identical to the equivalent apply_swap() — the
 // same-seed determinism guarantee does not care which path evaluated a move.
@@ -47,6 +47,11 @@ struct Move {
   netlist::CellId a = netlist::kNoCell;
   netlist::CellId b = netlist::kNoCell;
 };
+
+/// Candidates per probe_batch call in every trial loop (compound moves,
+/// diversification, the shared-memory engine). Scores are independent of
+/// the chunking, so this is a throughput constant, not a search parameter.
+inline constexpr std::size_t kProbeBatchWidth = 8;
 
 struct CostParams {
   timing::DelayModel delay_model;
@@ -89,40 +94,44 @@ class Evaluator {
   double apply_swap(netlist::CellId a, netlist::CellId b);
 
   /// Returns the scalar cost apply_swap(a, b) would return, without
-  /// changing any observable state (the placement is swapped and restored
-  /// internally; HPWL boxes, totals, and path sums are computed into member
-  /// scratch). Bit-identical to apply_swap() against the same running
-  /// totals, except that a probe never triggers the periodic rebuild —
-  /// probes add no floating-point drift, so only committed swaps count
-  /// toward rebuild_interval.
+  /// changing any observable state: a width-1 probe_batch(). Bit-identical
+  /// to apply_swap() against the same running totals, except that a probe
+  /// never triggers the periodic rebuild — probes add no floating-point
+  /// drift, so only committed swaps count toward rebuild_interval.
   double probe_swap(netlist::CellId a, netlist::CellId b);
 
   /// Scores N candidate swaps in one call: costs[i] receives exactly what
-  /// probe_swap(moves[i].a, moves[i].b) would return — bit-identical, pinned
-  /// by tests/property_test.cpp — without mutating the placement geometry at
-  /// all. Each candidate is described by a SwapOverlay (placement/overlay.hpp)
-  /// staged into shadow position arrays (O(moved) writes, restored after the
-  /// probe), and its touched nets are recomputed with the plain-load box
-  /// kernel (HpwlState::probe_nets_batch); per-candidate net changes are
-  /// replayed against scratch path sums in one peek_delta_batch call, and a
-  /// single FuzzyGoals OWA pass converts all N objective tuples to costs.
-  /// Leaves no pending probe: commit the winning pair with commit_swap(),
-  /// whose apply_swap() fallback is bit-identical by contract. Candidates
-  /// are scored against the same committed state, so the batch is equivalent
-  /// to N sequential probes (probes change no observable state).
+  /// apply_swap(moves[i].a, moves[i].b) would return against the current
+  /// state — bit-identical, pinned by tests/property_test.cpp — without
+  /// mutating the placement geometry at all. Each candidate is described by
+  /// a SwapOverlay (placement/overlay.hpp) staged into shadow position
+  /// arrays (O(moved) writes, restored after the probe), and its touched
+  /// nets are recomputed with the plain-load box kernel
+  /// (HpwlState::probe_nets_batch); per-candidate net changes are replayed
+  /// against scratch path sums in one peek_delta_batch call, and a single
+  /// FuzzyGoals OWA pass converts all N objective tuples to costs.
+  /// Candidates are scored against the same committed state, so the batch
+  /// is equivalent to N sequential probes. The last candidate stays
+  /// pending: its boxes, HPWL delta and peeked path sums are kept, so
+  /// commit_probe()/commit_swap() can promote it.
   void probe_batch(std::span<const Move> moves, std::span<double> costs);
 
-  /// Promotes the immediately preceding probe_swap() into the committed
-  /// state and returns the new scalar cost. The resulting state is
-  /// bit-identical to apply_swap() of the probed pair, but costs only the
-  /// geometry swap plus scratch promotion — no second incremental pass.
-  /// Invalid after any intervening apply_swap()/reset_placement().
+  /// Promotes the pending probe — the last candidate of the immediately
+  /// preceding probe_batch()/probe_swap() — into the committed state and
+  /// returns the new scalar cost. The resulting state is bit-identical to
+  /// apply_swap() of the probed pair, but costs only the geometry swap plus
+  /// scratch promotion — no second incremental pass. Invalid after any
+  /// intervening apply_swap()/reset_placement().
   double commit_probe();
 
   /// Commits the winning swap of a trial loop: promotes the pending probe
   /// when it is for this pair (either orientation — a swap is symmetric),
-  /// otherwise falls back to apply_swap(a, b). Both paths leave
-  /// bit-identical state, so callers need not track which trial won.
+  /// otherwise falls back to apply_swap(a, b). The promoted state is the
+  /// probed orientation's: a pending (b, a) leaves apply_swap(b, a)'s
+  /// state, whose path sums fold the same net changes in another order and
+  /// can sit an ulp away from apply_swap(a, b)'s. A loop that must land on
+  /// exactly apply_swap(winner) commits through commit_probe() only when
+  /// the winner is the pending candidate (tabu::commit_best_trial).
   double commit_swap(netlist::CellId a, netlist::CellId b);
 
   /// Replaces the current solution (e.g. with a broadcast best) and fully
@@ -161,8 +170,7 @@ class Evaluator {
 
  private:
   void rebuild_all();
-  /// Re-copies committed positions into the shadow arrays for `cells`
-  /// (no-op until the first probe_batch materializes the shadow).
+  /// Re-copies committed positions into the shadow arrays for `cells`.
   void refresh_shadow(std::span<const netlist::CellId> cells);
 
   placement::Placement placement_;
@@ -175,7 +183,6 @@ class Evaluator {
   const netlist::Topology* topology_;  // CSR adjacency for the trial gather
   std::vector<netlist::CellId> moved_scratch_;
   std::vector<placement::NetChange> change_scratch_;
-  std::vector<placement::NetBox> box_scratch_;
   // probe_batch scratch: concatenated per-candidate net changes with CSR
   // offsets, objective tuples, and delay estimates. Only timing-relevant
   // changes (nets on a monitored path) are kept — any other net is an exact
@@ -186,17 +193,19 @@ class Evaluator {
   std::vector<std::uint32_t> batch_offsets_;
   std::vector<Objectives> batch_objs_;
   std::vector<double> batch_delays_;
-  // Shadow copy of the committed SoA positions, materialized lazily by the
-  // first probe_batch (that call is the warm-up; nothing allocates after).
-  // probe_batch overwrites only a candidate's moved cells and restores them
-  // after the probe; committed mutations (apply_swap/commit_probe) re-copy
-  // their moved cells, and reset_placement re-copies everything, so the
-  // shadow always equals the committed positions between calls.
+  // Shadow copy of the committed SoA positions. probe_batch overwrites only
+  // a candidate's moved cells and restores them after the probe; committed
+  // mutations (apply_swap/commit_probe) re-copy their moved cells, and
+  // reset_placement re-copies everything, so the shadow always equals the
+  // committed positions between calls.
   std::vector<double> shadow_x_;
   std::vector<double> shadow_y_;
-  // Pending probe: the pair, its weighted HPWL delta, and whether the
-  // scratch (box_scratch_, change_scratch_, marker_ nets, the timer's peek
-  // sums) still describes it. Cleared by any committed mutation.
+  // Pending probe — the last candidate of the last probe_batch: the pair,
+  // its new boxes (index-aligned with marker_.nets()), its weighted HPWL
+  // delta, and whether the scratch (box_scratch_, moved_scratch_, marker_
+  // nets, the timer's peek sums) still describes it. Cleared by any
+  // committed mutation.
+  std::vector<placement::NetBox> box_scratch_;
   netlist::CellId probe_a_ = netlist::kNoCell;
   netlist::CellId probe_b_ = netlist::kNoCell;
   double probe_delta_ = 0.0;

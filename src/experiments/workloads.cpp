@@ -46,12 +46,7 @@ parallel::PtsConfig base_config(const netlist::Netlist& netlist,
   config.tabu.tenure = 10;
   config.tabu.compound.width = 8;
   config.tabu.compound.depth = 3;
-  // Batched candidate scoring (Evaluator::probe_batch); bit-identical to
-  // scalar probing, so this is a throughput knob, not a search knob. Set
-  // explicitly so experiment configs pin the batch width they ran with.
-  config.tabu.compound.batch = 8;
   config.diversify.depth = 4;
-  config.diversify.batch = 8;
   config.cost.num_paths = 24;
 
   // Iteration budgets grow with circuit size (the paper fixes them per

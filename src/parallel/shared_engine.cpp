@@ -12,153 +12,119 @@
 #include "timing/paths.hpp"
 
 namespace pts::parallel {
-namespace {
 
-/// The parallel compound-move strategy (see shared_engine.hpp for the
-/// determinism argument). evals[0] is the coordinator's evaluator — the one
-/// TabuSearch owns and mutates; evals[1..] are per-thread replicas that
-/// catch up with the coordinator's committed swaps through `oplog_` before
-/// they probe.
-class SharedCompoundStrategy final : public tabu::CompoundStrategy {
- public:
-  SharedCompoundStrategy(ThreadPool& pool, std::vector<cost::Evaluator*> evals,
-                         std::size_t chunk)
-      : pool_(&pool), evals_(std::move(evals)), chunk_(chunk) {
-    PTS_CHECK(evals_.size() == pool_->threads());
-    cursors_.assign(evals_.size(), 0);
+SharedCompoundStrategy::SharedCompoundStrategy(
+    ThreadPool& pool, std::vector<cost::Evaluator*> evals, std::size_t chunk)
+    : pool_(&pool), evals_(std::move(evals)), chunk_(chunk) {
+  PTS_CHECK(evals_.size() == pool_->threads());
+  cursors_.assign(evals_.size(), 0);
+}
+
+void SharedCompoundStrategy::build(cost::Evaluator& eval,
+                                   const tabu::CellRange& range,
+                                   const tabu::CompoundParams& params, Rng& rng,
+                                   const tabu::FrequencyMemory* memory,
+                                   tabu::CompoundMove* out) {
+  PTS_DCHECK(&eval == evals_[0]);
+  const double start_cost = eval.cost();
+  const bool use_memory = memory != nullptr && memory->active();
+  const std::span<const netlist::CellId> movable =
+      eval.placement().netlist().movable_cells();
+
+  tabu::CompoundMove& compound = *out;
+  compound.swaps.clear();
+  compound.swaps.reserve(params.depth);
+  compound.improved_early = false;
+  compound.cost = start_cost;
+  for (std::size_t level = 0; level < params.depth; ++level) {
+    // Sampling stays on the coordinator, in trial order, from the single
+    // search stream: probes consume no RNG, so this draws exactly the
+    // sequence the sequential sample/probe interleave would.
+    moves_.clear();
+    for (std::size_t trial = 0; trial < params.width; ++trial) {
+      const tabu::Move move = tabu::sample_move(movable, range, rng);
+      moves_.push_back({move.a, move.b});
+    }
+    const std::size_t best =
+        commit_best_trial(moves_, memory, use_memory, &compound.cost);
+    compound.swaps.push_back({moves_[best].a, moves_[best].b});
+    if (params.early_accept && compound.cost < start_cost) {
+      compound.improved_early = true;
+      break;
+    }
   }
+}
 
-  void build(cost::Evaluator& eval, const tabu::CellRange& range,
-             const tabu::CompoundParams& params, Rng& rng,
-             const tabu::FrequencyMemory* memory,
-             tabu::CompoundMove* out) override {
-    PTS_DCHECK(&eval == evals_[0]);
-    const double start_cost = eval.cost();
-    const bool use_memory = memory != nullptr && memory->active();
-    const std::span<const netlist::CellId> movable =
-        eval.placement().netlist().movable_cells();
-    const std::size_t width = params.width;
-    const std::size_t chunk = chunk_ != 0 ? chunk_ : auto_chunk(width);
+std::size_t SharedCompoundStrategy::commit_best_trial(
+    std::span<const cost::Move> moves, const tabu::FrequencyMemory* memory,
+    bool use_memory, double* cost_out) {
+  const std::size_t width = moves.size();
+  const std::size_t chunk = chunk_ != 0 ? chunk_ : auto_chunk(width);
+  costs_.resize(width);
 
-    tabu::CompoundMove& compound = *out;
-    compound.swaps.clear();
-    compound.swaps.reserve(params.depth);
-    compound.improved_early = false;
-    compound.cost = start_cost;
-    for (std::size_t level = 0; level < params.depth; ++level) {
-      // Sampling stays on the coordinator, in trial order, from the single
-      // search stream: probes consume no RNG, so this draws exactly the
-      // sequence the sequential sample/probe interleave would.
-      moves_.clear();
-      cmoves_.clear();
-      for (std::size_t trial = 0; trial < width; ++trial) {
-        const tabu::Move move = tabu::sample_move(movable, range, rng);
-        moves_.push_back(move);
-        cmoves_.push_back({move.a, move.b});
-      }
-      costs_.resize(width);
-
-      // Probe every trial against the current committed state. Probes are
-      // state-independent of each other, so costs_[i] is the same number
-      // whichever thread computes it — and probe_batch is bit-identical to
-      // probe_swap per candidate, so the batch sub-chunking below changes
-      // no cost either. A thread scores its claimed range in sub-batches of
-      // the configured batch width (the same knob the sequential compound
-      // loop uses); batch <= 1 keeps the scalar path.
-      const std::size_t batch = params.batch;
-      parallel_for_chunked(
-          *pool_, 0, width, chunk,
-          [this, batch](std::size_t worker, std::size_t lo, std::size_t hi) {
-            cost::Evaluator& ev = synced_evaluator(worker);
-            if (batch > 1) {
-              for (std::size_t i = lo; i < hi; i += batch) {
-                const std::size_t n = std::min(batch, hi - i);
-                ev.probe_batch(std::span(cmoves_).subspan(i, n),
-                               std::span(costs_).subspan(i, n));
-              }
-            } else {
-              for (std::size_t i = lo; i < hi; ++i) {
-                costs_[i] = ev.probe_swap(moves_[i].a, moves_[i].b);
-              }
-            }
-          });
-
-      // Sequential reduction, trial-index order, first strict minimum wins
-      // — the exact build_compound_move selection rule.
-      tabu::Move best{};
-      double best_cost = 0.0;
-      bool have_best = false;
-      for (std::size_t i = 0; i < width; ++i) {
-        double cost_after = costs_[i];
-        if (use_memory) cost_after = memory->adjusted_cost(moves_[i], cost_after);
-        if (!have_best || cost_after < best_cost) {
-          best = moves_[i];
-          best_cost = cost_after;
-          have_best = true;
+  // Probe every trial against the current committed state. Probes are
+  // state-independent of each other, so costs_[i] is the same number
+  // whichever thread computes it, in whatever sub-batch. A thread scores
+  // its claimed range in sub-batches of kProbeBatchWidth (the sequential
+  // loop's chunking).
+  parallel_for_chunked(
+      *pool_, 0, width, chunk,
+      [this, moves](std::size_t worker, std::size_t lo, std::size_t hi) {
+        cost::Evaluator& ev = synced_evaluator(worker);
+        for (std::size_t i = lo; i < hi; i += cost::kProbeBatchWidth) {
+          const std::size_t n = std::min(cost::kProbeBatchWidth, hi - i);
+          ev.probe_batch(moves.subspan(i, n), std::span(costs_).subspan(i, n));
         }
-      }
-      PTS_CHECK(have_best);
-      compound.cost = eval.commit_swap(best.a, best.b);
-      oplog_.push_back(best);
-      compound.swaps.push_back(best);
-      if (params.early_accept && compound.cost < start_cost) {
-        compound.improved_early = true;
-        break;
-      }
+      });
+
+  // Sequential reduction with the sequential selection rule. The winner is
+  // applied, never promoted: evals_[0]'s pending probe is the last
+  // candidate of whichever chunk worker 0 claimed last, and a reversed
+  // duplicate of the winner folds its net changes in another order, so
+  // promoting would let scheduling reach the committed state.
+  const std::size_t best = tabu::select_best(moves, costs_, memory, use_memory);
+  const tabu::Move move{moves[best].a, moves[best].b};
+  *cost_out = evals_[0]->apply_swap(move.a, move.b);
+  oplog_.push_back(move);
+  return best;
+}
+
+void SharedCompoundStrategy::undo(cost::Evaluator& eval,
+                                  const tabu::CompoundMove& move) {
+  tabu::undo_compound(eval, move);
+  // Log the undo swaps in the order undo_compound applied them so the
+  // replicas replay the coordinator's mutation history verbatim (same apply
+  // count keeps the drift-control rebuild cadence identical too).
+  for (auto it = move.swaps.rbegin(); it != move.swaps.rend(); ++it) {
+    oplog_.push_back(*it);
+  }
+}
+
+/// One chunk per thread and change — coarse enough that the counter is
+/// bumped O(threads) times per level, fine enough to rebalance when one
+/// thread stalls.
+std::size_t SharedCompoundStrategy::auto_chunk(std::size_t width) const {
+  const std::size_t grabs = pool_->threads() * 4;
+  const std::size_t chunk = width / grabs;
+  return chunk >= 1 ? chunk : 1;
+}
+
+/// Replays the coordinator's op log suffix onto this worker's replica.
+/// Worker 0 probes on the coordinator's evaluator itself, which is always
+/// current. Replay is lazy (a worker that claims no work this level catches
+/// up next time it does); the cursor guarantees every op is applied exactly
+/// once, in order.
+cost::Evaluator& SharedCompoundStrategy::synced_evaluator(std::size_t worker) {
+  cost::Evaluator& ev = *evals_[worker];
+  if (worker != 0) {
+    std::size_t& cursor = cursors_[worker];
+    while (cursor < oplog_.size()) {
+      const tabu::Move& op = oplog_[cursor++];
+      ev.apply_swap(op.a, op.b);
     }
   }
-
-  void undo(cost::Evaluator& eval, const tabu::CompoundMove& move) override {
-    tabu::undo_compound(eval, move);
-    // Log the undo swaps in the order undo_compound applied them so the
-    // replicas replay the coordinator's mutation history verbatim (same
-    // apply count keeps the drift-control rebuild cadence identical too).
-    for (auto it = move.swaps.rbegin(); it != move.swaps.rend(); ++it) {
-      oplog_.push_back(*it);
-    }
-  }
-
- private:
-  /// One chunk per thread and change — coarse enough that the counter is
-  /// bumped O(threads) times per level, fine enough to rebalance when one
-  /// thread stalls.
-  std::size_t auto_chunk(std::size_t width) const {
-    const std::size_t grabs = pool_->threads() * 4;
-    const std::size_t chunk = width / grabs;
-    return chunk >= 1 ? chunk : 1;
-  }
-
-  /// Replays the coordinator's op log suffix onto this worker's replica.
-  /// Worker 0 probes on the coordinator's evaluator itself, which is always
-  /// current. Replay is lazy (a worker that claims no work this level
-  /// catches up next time it does); the cursor guarantees every op is
-  /// applied exactly once, in order.
-  cost::Evaluator& synced_evaluator(std::size_t worker) {
-    cost::Evaluator& ev = *evals_[worker];
-    if (worker != 0) {
-      std::size_t& cursor = cursors_[worker];
-      while (cursor < oplog_.size()) {
-        const tabu::Move& op = oplog_[cursor++];
-        ev.apply_swap(op.a, op.b);
-      }
-    }
-    return ev;
-  }
-
-  ThreadPool* pool_;
-  std::vector<cost::Evaluator*> evals_;
-  std::size_t chunk_;
-  /// Every committed mutation of evals_[0], in application order (commits
-  /// and undo re-applies alike). Grows by at most 2*depth moves per tabu
-  /// iteration — bytes per iteration, never compacted.
-  std::vector<tabu::Move> oplog_;
-  std::vector<std::size_t> cursors_;  ///< per-worker oplog replay position
-  std::vector<tabu::Move> moves_;     ///< level scratch: sampled trials
-  std::vector<cost::Move> cmoves_;    ///< level scratch: trials as cost::Moves
-  std::vector<double> costs_;         ///< level scratch: probed costs
-};
-
-}  // namespace
+  return ev;
+}
 
 SharedEngine::SharedEngine(const netlist::Netlist& netlist,
                            const SharedConfig& config)

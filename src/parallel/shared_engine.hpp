@@ -19,7 +19,7 @@
 //  1. All candidate sampling happens on the coordinator, from the single
 //     search stream, before the parallel region — probes consume no RNG, so
 //     the draw order matches the sequential interleaved loop exactly.
-//  2. probe_swap changes no observable state and is bit-identical against
+//  2. probe_batch changes no observable state and is bit-identical against
 //     equal committed state (DESIGN.md §3), so each trial's cost does not
 //     depend on which thread probed it or in what order. Replicas replay
 //     every coordinator mutation (an op log of committed swaps) before
@@ -27,8 +27,12 @@
 //     coordinator's — including the periodic drift-control rebuild, which
 //     triggers at the same committed-swap count everywhere.
 //  3. The reduction runs on the coordinator in trial-index order with the
-//     sequential rule (first strict minimum wins) — reduction order is part
-//     of the API, exactly like summation order in the CSR layout (§7).
+//     sequential rule (tabu::select_best: first strict minimum wins) —
+//     reduction order is part of the API, exactly like summation order in
+//     the CSR layout (§7). The winner is committed with apply_swap, whose
+//     state equals the sequential loop's commit; the coordinator's pending
+//     probe depends on which chunks worker 0 claimed, so it is never
+//     promoted.
 //
 // Worker threads persist for the whole run (ThreadPool); a level dispatches
 // one parallel region. Oversubscribed thread counts are clamped to the
@@ -37,9 +41,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "netlist/netlist.hpp"
 #include "parallel/config.hpp"
+#include "support/parallel_for.hpp"
 #include "support/run_control.hpp"
 #include "tabu/search.hpp"
 
@@ -65,6 +72,48 @@ struct SharedResult {
   tabu::SearchResult search;
   double makespan = 0.0;  ///< wall seconds
   std::size_t threads_used = 0;  ///< after the movable-cell clamp
+};
+
+/// The compound-move strategy SharedEngine installs into TabuSearch.
+/// evals[0] is the coordinator's evaluator — the one TabuSearch owns and
+/// mutates; evals[1..] are replicas of the same solution, one per further
+/// pool thread, that catch up with the coordinator's committed swaps
+/// through an op log before they probe. `chunk` 0 picks about four grabs
+/// per thread and level.
+class SharedCompoundStrategy final : public tabu::CompoundStrategy {
+ public:
+  SharedCompoundStrategy(ThreadPool& pool, std::vector<cost::Evaluator*> evals,
+                         std::size_t chunk);
+
+  void build(cost::Evaluator& eval, const tabu::CellRange& range,
+             const tabu::CompoundParams& params, Rng& rng,
+             const tabu::FrequencyMemory* memory,
+             tabu::CompoundMove* out) override;
+  void undo(cost::Evaluator& eval, const tabu::CompoundMove& move) override;
+
+  /// One level: scores `moves` across the pool against the coordinator's
+  /// committed state, commits the tabu::select_best winner on evals[0] with
+  /// apply_swap, and returns its index; `*cost_out` receives the committed
+  /// cost. The parallel counterpart of tabu::commit_best_trial — same
+  /// winner, same committed state.
+  std::size_t commit_best_trial(std::span<const cost::Move> moves,
+                                const tabu::FrequencyMemory* memory,
+                                bool use_memory, double* cost_out);
+
+ private:
+  std::size_t auto_chunk(std::size_t width) const;
+  cost::Evaluator& synced_evaluator(std::size_t worker);
+
+  ThreadPool* pool_;
+  std::vector<cost::Evaluator*> evals_;
+  std::size_t chunk_;
+  /// Every committed mutation of evals_[0], in application order (commits
+  /// and undo re-applies alike). Grows by at most 2*depth moves per tabu
+  /// iteration — bytes per iteration, never compacted.
+  std::vector<tabu::Move> oplog_;
+  std::vector<std::size_t> cursors_;  ///< per-worker oplog replay position
+  std::vector<cost::Move> moves_;     ///< level scratch: sampled trials
+  std::vector<double> costs_;         ///< level scratch: probed costs
 };
 
 class SharedEngine {

@@ -45,41 +45,30 @@ double HpwlState::update_nets(std::span<const NetId> nets,
   return delta;
 }
 
-double HpwlState::probe_nets(std::span<const NetId> nets,
-                             std::vector<NetBox>* scratch,
-                             std::vector<NetChange>* changes) const {
-  PTS_DCHECK(scratch != nullptr);
-  scratch->resize(nets.size());
-  double delta = 0.0;
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    const NetId net = nets[i];
-    const double before = boxes_[net].half_perimeter();
-    (*scratch)[i] = compute_box(net);
-    const double after = (*scratch)[i].half_perimeter();
-    if (before == after) continue;
-    delta += topology_->net_weight(net) * (after - before);
-    if (changes != nullptr) changes->push_back({net, before, after});
-  }
-  return delta;
-}
-
 double HpwlState::probe_nets_batch(std::span<const double> xs,
                                    std::span<const double> ys,
                                    std::span<const NetId> nets,
-                                   std::vector<NetChange>* changes) const {
+                                   std::vector<NetChange>* changes,
+                                   std::vector<NetBox>* boxes) const {
   PTS_DCHECK(changes != nullptr);
   PTS_DCHECK(xs.size() == ys.size());
   const double* X = xs.data();
   const double* Y = ys.data();
 
   // Cursor-style change emission: write unconditionally, advance only when
-  // the half-perimeter moved. Same entries, same order as probe_nets().
+  // the half-perimeter moved. Same entries, same order as update_nets().
   std::size_t nc = changes->size();
   changes->resize(nc + nets.size());
   NetChange* out = changes->data();
+  NetBox* box_out = nullptr;
+  if (boxes != nullptr) {
+    boxes->resize(nets.size());
+    box_out = boxes->data();
+  }
 
   double delta = 0.0;
-  for (NetId net : nets) {
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const NetId net = nets[i];
     const double before = boxes_[net].half_perimeter();
     const std::span<const netlist::CellId> pins = topology_->pins(net);
 
@@ -96,9 +85,10 @@ double HpwlState::probe_nets_batch(std::span<const double> xs,
     }
 
     const double after = (max_x - min_x) + (max_y - min_y);
+    if (box_out != nullptr) box_out[i] = NetBox{min_x, max_x, min_y, max_y};
     // before == after contributes w * (+0.0) = +0.0, which never changes
     // the accumulator (no term is -0.0), so the unconditional add matches
-    // probe_nets()'s skip bit for bit.
+    // update_nets()'s skip bit for bit.
     delta += topology_->net_weight(net) * (after - before);
     out[nc] = NetChange{net, before, after};
     nc += static_cast<std::size_t>(before != after);
@@ -108,9 +98,9 @@ double HpwlState::probe_nets_batch(std::span<const double> xs,
 }
 
 void HpwlState::commit_probe(std::span<const NetId> nets,
-                             const std::vector<NetBox>& scratch, double delta) {
-  PTS_DCHECK(scratch.size() == nets.size());
-  for (std::size_t i = 0; i < nets.size(); ++i) boxes_[nets[i]] = scratch[i];
+                             const std::vector<NetBox>& boxes, double delta) {
+  PTS_DCHECK(boxes.size() == nets.size());
+  for (std::size_t i = 0; i < nets.size(); ++i) boxes_[nets[i]] = boxes[i];
   total_ += delta;
 }
 

@@ -10,12 +10,13 @@
 // perform long update sequences (the cost Evaluator) rebuild() periodically
 // to cap drift.
 //
-// Trial moves use the probe/commit pair instead (DESIGN.md §3): probe_nets()
-// recomputes the same boxes into caller-owned scratch and returns the
-// weighted delta without touching the committed state; commit_probe()
-// promotes that scratch wholesale. probe_nets() accumulates its delta in the
-// exact summation order update_nets() would use, so
-// `total() + probe_nets(...)` is bit-identical to the total() after
+// Trial moves use the probe/commit pair instead (DESIGN.md §3):
+// probe_nets_batch() recomputes the same boxes against caller-staged shadow
+// position arrays and returns the weighted delta without touching the
+// committed state, optionally keeping the new boxes in caller scratch;
+// commit_probe() promotes that scratch wholesale. The delta is accumulated
+// in the exact summation order update_nets() would use, so
+// `total() + probe_nets_batch(...)` is bit-identical to the total() after
 // update_nets() on the same nets against the same committed state.
 #pragma once
 
@@ -65,39 +66,29 @@ class HpwlState {
                      std::vector<NetChange>* changes = nullptr);
 
   /// Probe counterpart of update_nets(): recomputes the boxes of `nets`
-  /// against the current placement geometry into `scratch` (resized to
-  /// nets.size(), index-aligned with `nets` — no allocation once capacity is
-  /// reached) and returns the change in weighted total, without modifying
-  /// the committed boxes or total. Appends the same NetChanges update_nets()
-  /// would. The delta is accumulated in update_nets()'s exact summation
-  /// order so the would-be total `total() + delta` is bit-identical.
-  double probe_nets(std::span<const netlist::NetId> nets,
-                    std::vector<NetBox>* scratch,
-                    std::vector<NetChange>* changes = nullptr) const;
-
-  /// Shadow-array counterpart of probe_nets() for batched trial evaluation:
-  /// recomputes the boxes of `nets` against caller-supplied per-cell
-  /// position arrays (a shadow copy of the committed SoA positions with the
-  /// candidate's moved cells overwritten via overlaid_position()) and
-  /// returns the change in weighted total against the committed boxes,
-  /// without touching committed state. Appends the same NetChanges
-  /// probe_nets() would observe after a real swap. The inner loops are
-  /// branch-free (plain-load min/max box fold, cursor-style change
-  /// emission), and the per-net visit order and delta summation order are
-  /// exactly probe_nets()'s, which keeps every returned delta bit-identical
-  /// to the scalar path (pinned by tests/property_test.cpp). Returns no
-  /// scratch boxes: batch winners re-probe or commit through the swap path,
-  /// never from here.
+  /// against caller-supplied per-cell position arrays (a shadow copy of the
+  /// committed SoA positions with the candidate's moved cells overwritten
+  /// via overlaid_position()) and returns the change in weighted total
+  /// against the committed boxes, without touching committed state.
+  /// Appends the same NetChanges update_nets() would report after a real
+  /// swap. The inner loops are branch-free (plain-load min/max box fold,
+  /// cursor-style change emission), and the per-net visit order and delta
+  /// summation order are exactly update_nets()'s, which keeps every
+  /// returned delta bit-identical to the committed path (pinned by
+  /// tests/property_test.cpp). When `boxes` is non-null it is resized to
+  /// nets.size() and receives the new boxes index-aligned with `nets` (no
+  /// allocation once capacity is reached), ready for commit_probe().
   double probe_nets_batch(std::span<const double> xs,
                           std::span<const double> ys,
                           std::span<const netlist::NetId> nets,
-                          std::vector<NetChange>* changes) const;
+                          std::vector<NetChange>* changes,
+                          std::vector<NetBox>* boxes = nullptr) const;
 
-  /// Promotes a preceding probe_nets() over the same `nets`: installs the
-  /// scratch boxes and folds `delta` into the total, producing state
+  /// Promotes a preceding probe_nets_batch() over the same `nets`:
+  /// installs its boxes and folds `delta` into the total, producing state
   /// bit-identical to what update_nets(nets) would have produced.
   void commit_probe(std::span<const netlist::NetId> nets,
-                    const std::vector<NetBox>& scratch, double delta);
+                    const std::vector<NetBox>& boxes, double delta);
 
   /// Full recomputation from the placement.
   void rebuild();

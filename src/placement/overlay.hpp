@@ -1,11 +1,11 @@
-// Swap-free geometry overlay for batched trial evaluation.
+// Swap-free geometry overlay for trial evaluation.
 //
-// probe_swap() evaluates a candidate by physically swapping the placement,
-// recomputing the touched net boxes, and swapping back — two geometry
-// mutations (each with row prefix-sum rebuilds) per trial. A SwapOverlay
-// instead *describes* the would-be geometry of swap_cells(a, b) against the
+// Scoring a candidate by physically swapping the placement, recomputing the
+// touched net boxes, and swapping back costs two geometry mutations (each
+// with row prefix-sum rebuilds) per trial. A SwapOverlay instead
+// *describes* the would-be geometry of swap_cells(a, b) against the
 // untouched committed state: a handful of per-row shift intervals plus the
-// new centers of a and b. The batched probe path stages the overlay into
+// new centers of a and b. Evaluator::probe_batch stages the overlay into
 // shadow position arrays — overlaid_position() for each moved cell, O(moved)
 // writes — and the box kernel (HpwlState::probe_nets_batch) then reads them
 // with plain loads, so scoring N candidates never serializes through
@@ -17,7 +17,7 @@
 // shifts (width differences) and the recomputed centers of a and b are the
 // same exact values rebuild_row() would produce — no rounding is involved
 // anywhere, which is what lets probe_batch promise bit-identity with
-// probe_swap (pinned by tests/property_test.cpp).
+// apply_swap (pinned by tests/property_test.cpp).
 #pragma once
 
 #include <vector>

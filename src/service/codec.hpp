@@ -4,14 +4,20 @@
 // A job crosses the wire as a JobRequest: a benchmark circuit *name* plus a
 // SolveSpec with the non-serializable fields left empty (the daemon resolves
 // the name against the benchmark registry and attaches its own CancelToken /
-// Observer). Decoding is strict: unknown keys, wrong types, and out-of-range
-// numbers are errors, never silently ignored — the daemon must not accept a
-// spec it half-understood. Coverage: engine, circuit, seed, the serving
-// deadline (deadline_seconds), and the cost /
-// tabu (incl. compound) / anneal / local / parallel (incl. diversify) /
-// shared / stop blocks. The parallel cluster, collection policies, and sim
-// cost model keep their defaults (they shape the emulation experiments, not
-// a served solve; extend the schema here if that changes).
+// Observer). Decoding goes through the strict reader of service/schema.hpp,
+// the same one checkpoints use: unknown keys, wrong types, non-finite
+// numbers and integers that are fractional, negative, above 2^53 or above
+// their field's type are errors, never silently ignored — the daemon must
+// not accept a spec it half-understood. The first error wins and names its
+// dotted path ("spec.tabu.compound: unknown key 'batch'"). Spec and result
+// keys are optional (absent means default), except that a spec requires
+// `circuit`. Coverage: engine, circuit, seed, warm-start slots, the serving
+// deadline (deadline_seconds), and the cost / tabu (incl. compound) /
+// anneal / local / parallel (incl. diversify) / shared / stop blocks. The
+// probe batch width is a kernel constant (cost::kProbeBatchWidth), not a
+// spec member. The parallel cluster, collection policies, and sim cost
+// model keep their defaults (they shape the emulation experiments, not a
+// served solve; extend the schema here if that changes).
 //
 // Doubles round-trip bit-exactly through service/json.hpp, so
 // decode(encode(result)) == result field-for-field — the property behind

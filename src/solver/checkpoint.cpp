@@ -1,19 +1,18 @@
 #include "solver/checkpoint.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "netlist/io.hpp"
-#include "service/json.hpp"
+#include "service/schema.hpp"
 #include "support/check.hpp"
 #include "support/stopwatch.hpp"
+#include "timing/paths.hpp"
 
 namespace pts::solver {
 namespace {
 
 namespace json = service::json;
+using service::ObjectReader;
 
 // ---------------------------------------------------------------------------
 // Trace splicing.
@@ -95,55 +94,6 @@ CheckpointedSolve run_tabu_segment(const SolveSpec& spec, const Checkpoint* from
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// JSON encode.
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[17];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v, 16);
-  return std::string(buf, res.ptr);
-}
-
-json::Value doubles_to_json(const std::vector<double>& vs) {
-  json::Value arr = json::Value::array();
-  for (double v : vs) arr.push_back(json::Value(v));
-  return arr;
-}
-
-template <typename T>
-json::Value uints_to_json(const std::vector<T>& vs) {
-  json::Value arr = json::Value::array();
-  for (T v : vs) arr.push_back(json::Value(static_cast<double>(v)));
-  return arr;
-}
-
-json::Value series_to_json(const Series& s) {
-  json::Value obj = json::Value::object();
-  obj.set("name", json::Value(s.name));
-  obj.set("x", doubles_to_json(s.x));
-  obj.set("y", doubles_to_json(s.y));
-  return obj;
-}
-
-json::Value objectives_to_json(const cost::Objectives& o) {
-  json::Value obj = json::Value::object();
-  obj.set("wirelength", json::Value(o.wirelength));
-  obj.set("delay", json::Value(o.delay));
-  obj.set("area", json::Value(o.area));
-  return obj;
-}
-
-json::Value stats_to_json(const tabu::SearchStats& s) {
-  json::Value obj = json::Value::object();
-  obj.set("iterations", json::Value(static_cast<double>(s.iterations)));
-  obj.set("accepted", json::Value(static_cast<double>(s.accepted)));
-  obj.set("rejected_tabu", json::Value(static_cast<double>(s.rejected_tabu)));
-  obj.set("aspirated", json::Value(static_cast<double>(s.aspirated)));
-  obj.set("early_accepts", json::Value(static_cast<double>(s.early_accepts)));
-  obj.set("trials", json::Value(static_cast<double>(s.trials)));
-  return obj;
-}
-
 }  // namespace
 
 CheckpointedSolve solve_with_checkpoint(const SolveSpec& spec) {
@@ -173,11 +123,30 @@ std::string check_resume_compatible(const SolveSpec& spec,
     return "circuit content hash mismatch: the checkpoint was taken against "
            "different circuit content";
   }
-  const std::size_t movable = spec.netlist->num_movable();
-  if (checkpoint.eval.slots.size() != movable ||
-      checkpoint.search.best_slots.size() != movable) {
-    return "checkpoint slot vectors do not match the netlist's movable cell "
+  // Shapes the restore paths would otherwise abort on: a decoded
+  // checkpoint is well-formed JSON, not necessarily consistent state.
+  const netlist::Netlist& nl = *spec.netlist;
+  std::string error =
+      detail::slot_permutation_error(nl, checkpoint.eval.slots, "eval.slots");
+  if (error.empty()) {
+    error = detail::slot_permutation_error(nl, checkpoint.search.best_slots,
+                                           "search.best_slots");
+  }
+  if (!error.empty()) return "checkpoint " + error;
+  if (checkpoint.eval.wire_sums.size() !=
+      timing::critical_path_count(nl, spec.cost.num_paths)) {
+    return "checkpoint eval.wire_sums does not match the spec's path count";
+  }
+  const tabu::FrequencyMemory::State& frequency = checkpoint.search.frequency;
+  if (frequency.counts.size() != nl.num_cells() ||
+      frequency.improving_counts.size() != nl.num_cells()) {
+    return "checkpoint frequency vectors do not match the netlist's cell "
            "count";
+  }
+  for (const tabu::Move& move : checkpoint.search.tabu_entries) {
+    if (move.a >= nl.num_cells() || move.b >= nl.num_cells()) {
+      return "checkpoint tabu entry names a cell outside the netlist";
+    }
   }
   return {};
 }
@@ -195,15 +164,15 @@ std::string encode_checkpoint(const Checkpoint& ck) {
   json::Value root = json::Value::object();
   root.set("version", json::Value(1.0));
   root.set("engine", json::Value(ck.engine));
-  root.set("seed", json::Value(hex_u64(ck.seed)));
-  root.set("circuit_hash", json::Value(hex_u64(ck.circuit_hash)));
+  root.set("seed", json::Value(service::hex_u64(ck.seed)));
+  root.set("circuit_hash", json::Value(service::hex_u64(ck.circuit_hash)));
   root.set("initial_cost", json::Value(ck.initial_cost));
   root.set("elapsed_seconds", json::Value(ck.elapsed_seconds));
 
   json::Value eval = json::Value::object();
-  eval.set("slots", uints_to_json(ck.eval.slots));
+  eval.set("slots", service::uints_to_json(ck.eval.slots));
   eval.set("hpwl_total", json::Value(ck.eval.hpwl_total));
-  eval.set("wire_sums", doubles_to_json(ck.eval.wire_sums));
+  eval.set("wire_sums", service::doubles_to_json(ck.eval.wire_sums));
   eval.set("swaps_applied",
            json::Value(static_cast<double>(ck.eval.swaps_applied)));
   eval.set("swaps_since_rebuild",
@@ -213,7 +182,9 @@ std::string encode_checkpoint(const Checkpoint& ck) {
   json::Value search = json::Value::object();
   json::Value rng = json::Value::object();
   json::Value words = json::Value::array();
-  for (std::uint64_t w : ck.search.rng.s) words.push_back(json::Value(hex_u64(w)));
+  for (std::uint64_t w : ck.search.rng.s) {
+    words.push_back(json::Value(service::hex_u64(w)));
+  }
   rng.set("s", std::move(words));
   rng.set("spare", json::Value(ck.search.rng.spare));
   rng.set("has_spare", json::Value(ck.search.rng.has_spare));
@@ -227,8 +198,9 @@ std::string encode_checkpoint(const Checkpoint& ck) {
   }
   search.set("tabu_entries", std::move(entries));
   json::Value freq = json::Value::object();
-  freq.set("counts", uints_to_json(ck.search.frequency.counts));
-  freq.set("improving_counts", uints_to_json(ck.search.frequency.improving_counts));
+  freq.set("counts", service::uints_to_json(ck.search.frequency.counts));
+  freq.set("improving_counts",
+           service::uints_to_json(ck.search.frequency.improving_counts));
   freq.set("transitions",
            json::Value(static_cast<double>(ck.search.frequency.transitions)));
   freq.set("max_count",
@@ -238,288 +210,90 @@ std::string encode_checkpoint(const Checkpoint& ck) {
   search.set("frequency", std::move(freq));
   search.set("best_cost", json::Value(ck.search.best_cost));
   search.set("best_quality", json::Value(ck.search.best_quality));
-  search.set("best_objectives", objectives_to_json(ck.search.best_objectives));
-  search.set("best_slots", uints_to_json(ck.search.best_slots));
-  search.set("stats", stats_to_json(ck.search.stats));
+  search.set("best_objectives",
+             service::objectives_to_json(ck.search.best_objectives));
+  search.set("best_slots", service::uints_to_json(ck.search.best_slots));
+  search.set("stats", service::stats_to_json(ck.search.stats));
   root.set("search", std::move(search));
 
-  root.set("cost_trace", series_to_json(ck.cost_trace));
-  root.set("best_trace", series_to_json(ck.best_trace));
-  root.set("best_vs_time", series_to_json(ck.best_vs_time));
+  root.set("cost_trace", service::series_to_json(ck.cost_trace));
+  root.set("best_trace", service::series_to_json(ck.best_trace));
+  root.set("best_vs_time", service::series_to_json(ck.best_vs_time));
   return json::dump(root);
 }
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// JSON decode. First-error-wins; every helper returns false after recording.
-
-struct Dec {
-  std::string error;
-
-  bool fail(std::string why) {
-    if (error.empty()) error = "checkpoint: " + std::move(why);
-    return false;
-  }
-
-  const json::Value* get_object(const json::Value& obj, const char* key) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_object()) {
-      fail(std::string("'") + key + "' must be an object");
-      return nullptr;
-    }
-    return v;
-  }
-
-  bool get_finite(const json::Value& obj, const char* key, double* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_number()) {
-      return fail(std::string("'") + key + "' must be a number");
-    }
-    if (!std::isfinite(v->as_number())) {
-      return fail(std::string("'") + key + "' must be finite");
-    }
-    *out = v->as_number();
-    return true;
-  }
-
-  bool get_bool(const json::Value& obj, const char* key, bool* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_bool()) {
-      return fail(std::string("'") + key + "' must be a boolean");
-    }
-    *out = v->as_bool();
-    return true;
-  }
-
-  bool get_string(const json::Value& obj, const char* key, std::string* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_string()) {
-      return fail(std::string("'") + key + "' must be a string");
-    }
-    *out = v->as_string();
-    return true;
-  }
-
-  bool hex_to_u64(const std::string& text, const char* what, std::uint64_t* out) {
-    const char* begin = text.data();
-    const char* end = begin + text.size();
-    const auto res = std::from_chars(begin, end, *out, 16);
-    if (res.ec != std::errc{} || res.ptr != end || text.empty()) {
-      return fail(std::string("'") + what + "' must be a hex u64 string");
-    }
-    return true;
-  }
-
-  bool get_hex_u64(const json::Value& obj, const char* key, std::uint64_t* out) {
-    std::string text;
-    if (!get_string(obj, key, &text)) return false;
-    return hex_to_u64(text, key, out);
-  }
-
-  bool number_to_uint(const json::Value& v, const char* what, std::uint64_t* out) {
-    if (!v.is_number()) return fail(std::string("'") + what + "' must be a number");
-    const double d = v.as_number();
-    if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0) {
-      return fail(std::string("'") + what +
-                  "' must be a non-negative integer within 2^53");
-    }
-    *out = static_cast<std::uint64_t>(d);
-    return true;
-  }
-
-  bool get_uint(const json::Value& obj, const char* key, std::uint64_t* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr) return fail(std::string("'") + key + "' is required");
-    return number_to_uint(*v, key, out);
-  }
-
-  bool get_doubles(const json::Value& obj, const char* key,
-                   std::vector<double>* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_array()) {
-      return fail(std::string("'") + key + "' must be an array");
-    }
-    out->clear();
-    out->reserve(v->items().size());
-    for (const json::Value& item : v->items()) {
-      if (!item.is_number() || !std::isfinite(item.as_number())) {
-        return fail(std::string("'") + key + "' must hold finite numbers");
-      }
-      out->push_back(item.as_number());
-    }
-    return true;
-  }
-
-  template <typename T>
-  bool get_uints(const json::Value& obj, const char* key, std::vector<T>* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_array()) {
-      return fail(std::string("'") + key + "' must be an array");
-    }
-    out->clear();
-    out->reserve(v->items().size());
-    for (const json::Value& item : v->items()) {
-      std::uint64_t u = 0;
-      if (!number_to_uint(item, key, &u)) return false;
-      if (u > std::numeric_limits<T>::max()) {
-        return fail(std::string("'") + key + "' element out of range");
-      }
-      out->push_back(static_cast<T>(u));
-    }
-    return true;
-  }
-
-  bool get_series(const json::Value& obj, const char* key, Series* out) {
-    const json::Value* v = get_object(obj, key);
-    if (v == nullptr) return false;
-    if (!get_string(*v, "name", &out->name)) return false;
-    if (!get_doubles(*v, "x", &out->x)) return false;
-    if (!get_doubles(*v, "y", &out->y)) return false;
-    if (out->x.size() != out->y.size()) {
-      return fail(std::string("'") + key + "' x/y lengths differ");
-    }
-    return true;
-  }
-};
-
-}  // namespace
 
 std::string decode_checkpoint(const std::string& text, Checkpoint* out) {
   PTS_CHECK(out != nullptr);
   std::string parse_error;
   const auto root = json::parse(text, &parse_error);
   if (!root.has_value()) return "checkpoint: invalid JSON: " + parse_error;
-  if (!root->is_object()) return "checkpoint: top level must be an object";
 
-  Dec dec;
+  // Every key is required: a checkpoint is only resumable whole.
+  std::string err;
   Checkpoint ck;
-  double version = 0.0;
-  if (!dec.get_finite(*root, "version", &version)) return dec.error;
-  if (version != 1.0) return "checkpoint: unsupported version";
-  if (!dec.get_string(*root, "engine", &ck.engine)) return dec.error;
-  if (ck.engine != "tabu") return "checkpoint: engine must be 'tabu'";
-  if (!dec.get_hex_u64(*root, "seed", &ck.seed)) return dec.error;
-  if (!dec.get_hex_u64(*root, "circuit_hash", &ck.circuit_hash)) return dec.error;
-  if (!dec.get_finite(*root, "initial_cost", &ck.initial_cost)) return dec.error;
-  if (!dec.get_finite(*root, "elapsed_seconds", &ck.elapsed_seconds)) {
-    return dec.error;
+  ObjectReader reader(*root, "checkpoint", err, ObjectReader::Keys::Required);
+  std::uint64_t version = 0;
+  reader.read_uint("version", version);
+  if (version != 1) reader.fail("unsupported version");
+  reader.read_string("engine", ck.engine);
+  if (ck.engine != "tabu") reader.fail("engine must be 'tabu'");
+  reader.read_hex_u64("seed", ck.seed);
+  reader.read_hex_u64("circuit_hash", ck.circuit_hash);
+  reader.read_double("initial_cost", ck.initial_cost);
+  reader.read_double("elapsed_seconds", ck.elapsed_seconds);
+
+  if (auto eval = reader.read_object("eval")) {
+    eval->read_uints("slots", ck.eval.slots);
+    eval->read_double("hpwl_total", ck.eval.hpwl_total);
+    eval->read_doubles("wire_sums", ck.eval.wire_sums);
+    eval->read_uint("swaps_applied", ck.eval.swaps_applied);
+    eval->read_uint("swaps_since_rebuild", ck.eval.swaps_since_rebuild);
+    eval->finish();
   }
 
-  const json::Value* eval = dec.get_object(*root, "eval");
-  if (eval == nullptr) return dec.error;
-  if (!dec.get_uints(*eval, "slots", &ck.eval.slots)) return dec.error;
-  if (!dec.get_finite(*eval, "hpwl_total", &ck.eval.hpwl_total)) return dec.error;
-  if (!dec.get_doubles(*eval, "wire_sums", &ck.eval.wire_sums)) return dec.error;
-  if (!dec.get_uint(*eval, "swaps_applied", &ck.eval.swaps_applied)) {
-    return dec.error;
-  }
-  if (!dec.get_uint(*eval, "swaps_since_rebuild", &ck.eval.swaps_since_rebuild)) {
-    return dec.error;
+  if (auto search = reader.read_object("search")) {
+    if (auto rng = search->read_object("rng")) {
+      rng->read_hex_u64s("s", ck.search.rng.s);
+      rng->read_double("spare", ck.search.rng.spare);
+      rng->read_bool("has_spare", ck.search.rng.has_spare);
+      rng->finish();
+    }
+    if (const json::Value* entries = search->read_array("tabu_entries")) {
+      constexpr auto kMaxCell = ObjectReader::max_of<netlist::CellId>();
+      for (const json::Value& pair : entries->items()) {
+        std::uint64_t a = 0, b = 0;
+        if (!pair.is_array() || pair.items().size() != 2 ||
+            !ObjectReader::uint_value(pair.items()[0], kMaxCell, a) ||
+            !ObjectReader::uint_value(pair.items()[1], kMaxCell, b)) {
+          search->fail("tabu_entries must hold [a, b] cell-id pairs");
+          break;
+        }
+        ck.search.tabu_entries.push_back(tabu::Move{
+            static_cast<netlist::CellId>(a), static_cast<netlist::CellId>(b)});
+      }
+    }
+    if (auto freq = search->read_object("frequency")) {
+      freq->read_uints("counts", ck.search.frequency.counts);
+      freq->read_uints("improving_counts", ck.search.frequency.improving_counts);
+      freq->read_uint("transitions", ck.search.frequency.transitions);
+      freq->read_uint("max_count", ck.search.frequency.max_count);
+      freq->read_uint("max_improving", ck.search.frequency.max_improving);
+      freq->finish();
+    }
+    search->read_double("best_cost", ck.search.best_cost);
+    search->read_double("best_quality", ck.search.best_quality);
+    service::read_objectives(*search, "best_objectives",
+                             ck.search.best_objectives);
+    search->read_uints("best_slots", ck.search.best_slots);
+    service::read_stats(*search, "stats", ck.search.stats);
+    search->finish();
   }
 
-  const json::Value* search = dec.get_object(*root, "search");
-  if (search == nullptr) return dec.error;
-  const json::Value* rng = dec.get_object(*search, "rng");
-  if (rng == nullptr) return dec.error;
-  {
-    const json::Value* words = rng->find("s");
-    if (words == nullptr || !words->is_array() || words->items().size() != 4) {
-      return "checkpoint: 'rng.s' must be an array of 4 hex strings";
-    }
-    for (int i = 0; i < 4; ++i) {
-      const json::Value& w = words->items()[static_cast<std::size_t>(i)];
-      if (!w.is_string()) return "checkpoint: 'rng.s' must hold hex strings";
-      if (!dec.hex_to_u64(w.as_string(), "rng.s", &ck.search.rng.s[i])) {
-        return dec.error;
-      }
-    }
-    if (!dec.get_finite(*rng, "spare", &ck.search.rng.spare)) return dec.error;
-    if (!dec.get_bool(*rng, "has_spare", &ck.search.rng.has_spare)) {
-      return dec.error;
-    }
-  }
-  {
-    const json::Value* entries = search->find("tabu_entries");
-    if (entries == nullptr || !entries->is_array()) {
-      return "checkpoint: 'tabu_entries' must be an array";
-    }
-    ck.search.tabu_entries.clear();
-    ck.search.tabu_entries.reserve(entries->items().size());
-    for (const json::Value& pair : entries->items()) {
-      if (!pair.is_array() || pair.items().size() != 2) {
-        return "checkpoint: each tabu entry must be a [a, b] pair";
-      }
-      std::uint64_t a = 0, b = 0;
-      if (!dec.number_to_uint(pair.items()[0], "tabu_entries", &a) ||
-          !dec.number_to_uint(pair.items()[1], "tabu_entries", &b)) {
-        return dec.error;
-      }
-      if (a > std::numeric_limits<netlist::CellId>::max() ||
-          b > std::numeric_limits<netlist::CellId>::max()) {
-        return "checkpoint: tabu entry cell id out of range";
-      }
-      ck.search.tabu_entries.push_back(
-          tabu::Move{static_cast<netlist::CellId>(a),
-                     static_cast<netlist::CellId>(b)});
-    }
-  }
-  const json::Value* freq = dec.get_object(*search, "frequency");
-  if (freq == nullptr) return dec.error;
-  if (!dec.get_uints(*freq, "counts", &ck.search.frequency.counts)) {
-    return dec.error;
-  }
-  if (!dec.get_uints(*freq, "improving_counts",
-                     &ck.search.frequency.improving_counts)) {
-    return dec.error;
-  }
-  if (!dec.get_uint(*freq, "transitions", &ck.search.frequency.transitions)) {
-    return dec.error;
-  }
-  if (!dec.get_uint(*freq, "max_count", &ck.search.frequency.max_count)) {
-    return dec.error;
-  }
-  if (!dec.get_uint(*freq, "max_improving", &ck.search.frequency.max_improving)) {
-    return dec.error;
-  }
-  if (!dec.get_finite(*search, "best_cost", &ck.search.best_cost)) {
-    return dec.error;
-  }
-  if (!dec.get_finite(*search, "best_quality", &ck.search.best_quality)) {
-    return dec.error;
-  }
-  const json::Value* objectives = dec.get_object(*search, "best_objectives");
-  if (objectives == nullptr) return dec.error;
-  if (!dec.get_finite(*objectives, "wirelength",
-                      &ck.search.best_objectives.wirelength) ||
-      !dec.get_finite(*objectives, "delay", &ck.search.best_objectives.delay) ||
-      !dec.get_finite(*objectives, "area", &ck.search.best_objectives.area)) {
-    return dec.error;
-  }
-  if (!dec.get_uints(*search, "best_slots", &ck.search.best_slots)) {
-    return dec.error;
-  }
-  const json::Value* stats = dec.get_object(*search, "stats");
-  if (stats == nullptr) return dec.error;
-  {
-    std::uint64_t u = 0;
-    if (!dec.get_uint(*stats, "iterations", &u)) return dec.error;
-    ck.search.stats.iterations = static_cast<std::size_t>(u);
-    if (!dec.get_uint(*stats, "accepted", &u)) return dec.error;
-    ck.search.stats.accepted = static_cast<std::size_t>(u);
-    if (!dec.get_uint(*stats, "rejected_tabu", &u)) return dec.error;
-    ck.search.stats.rejected_tabu = static_cast<std::size_t>(u);
-    if (!dec.get_uint(*stats, "aspirated", &u)) return dec.error;
-    ck.search.stats.aspirated = static_cast<std::size_t>(u);
-    if (!dec.get_uint(*stats, "early_accepts", &u)) return dec.error;
-    ck.search.stats.early_accepts = static_cast<std::size_t>(u);
-    if (!dec.get_uint(*stats, "trials", &u)) return dec.error;
-    ck.search.stats.trials = static_cast<std::size_t>(u);
-  }
-
-  if (!dec.get_series(*root, "cost_trace", &ck.cost_trace)) return dec.error;
-  if (!dec.get_series(*root, "best_trace", &ck.best_trace)) return dec.error;
-  if (!dec.get_series(*root, "best_vs_time", &ck.best_vs_time)) return dec.error;
+  service::read_series(reader, "cost_trace", ck.cost_trace);
+  service::read_series(reader, "best_trace", ck.best_trace);
+  service::read_series(reader, "best_vs_time", ck.best_vs_time);
+  reader.finish();
+  if (!err.empty()) return err;
 
   *out = std::move(ck);
   return {};

@@ -20,7 +20,8 @@
 // across processes. u64 fields (seed, circuit hash, RNG state words) are
 // hex strings because JSON numbers are doubles (exact only to 2^53);
 // everything else uses the service JSON core's bit-exact double round-trip.
-// decode_checkpoint() never aborts: malformed input returns an error
+// decode_checkpoint() reads through service/schema.hpp's strict reader with
+// every key required, and never aborts: malformed input returns an error
 // string.
 #pragma once
 
@@ -66,7 +67,10 @@ struct CheckpointedSolve {
 CheckpointedSolve solve_with_checkpoint(const SolveSpec& spec);
 
 /// Empty string when `checkpoint` can resume under `spec` (same engine,
-/// seed, circuit content, movable-cell count); otherwise the reason.
+/// seed and circuit content, and state shaped for that circuit: slot
+/// vectors that permute the movable cells, one wire sum per monitored
+/// path, one frequency count per cell, tabu entries naming cells);
+/// otherwise the reason.
 std::string check_resume_compatible(const SolveSpec& spec,
                                     const Checkpoint& checkpoint);
 

@@ -70,6 +70,30 @@ std::vector<std::string> engine_names() {
   return names;  // std::map iteration order: already sorted
 }
 
+std::string detail::slot_permutation_error(
+    const netlist::Netlist& nl, const std::vector<netlist::CellId>& slots,
+    std::string_view what) {
+  const std::string name(what);
+  if (slots.size() != nl.num_movable()) {
+    return name + " has " + std::to_string(slots.size()) +
+           " entries; expected one per movable cell (" +
+           std::to_string(nl.num_movable()) + ")";
+  }
+  std::vector<bool> seen(nl.num_cells(), false);
+  for (const netlist::CellId cell : slots) {
+    if (cell >= nl.num_cells() || !nl.cell(cell).movable()) {
+      return name + " contains id " + std::to_string(cell) +
+             ", which is not a movable cell of this netlist";
+    }
+    if (seen[cell]) {
+      return name + " assigns cell " + std::to_string(cell) +
+             " to more than one slot";
+    }
+    seen[cell] = true;
+  }
+  return {};
+}
+
 std::vector<std::string> Solver::validate(const SolveSpec& spec) const {
   std::vector<std::string> errors;
 
@@ -96,28 +120,9 @@ std::vector<std::string> Solver::validate(const SolveSpec& spec) const {
   }
 
   if (!spec.initial_slots.empty() && spec.netlist != nullptr) {
-    const netlist::Netlist& nl = *spec.netlist;
-    if (spec.initial_slots.size() != nl.num_movable()) {
-      errors.push_back("initial_slots has " +
-                       std::to_string(spec.initial_slots.size()) +
-                       " entries; expected one per movable cell (" +
-                       std::to_string(nl.num_movable()) + ")");
-    } else {
-      std::vector<bool> seen(nl.num_cells(), false);
-      for (const netlist::CellId cell : spec.initial_slots) {
-        if (cell >= nl.num_cells() || !nl.cell(cell).movable()) {
-          errors.push_back("initial_slots contains id " + std::to_string(cell) +
-                           ", which is not a movable cell of this netlist");
-          break;
-        }
-        if (seen[cell]) {
-          errors.push_back("initial_slots assigns cell " + std::to_string(cell) +
-                           " to more than one slot");
-          break;
-        }
-        seen[cell] = true;
-      }
-    }
+    std::string error = detail::slot_permutation_error(
+        *spec.netlist, spec.initial_slots, "initial_slots");
+    if (!error.empty()) errors.push_back(std::move(error));
   }
 
   if (std::isnan(spec.stop.max_seconds)) {

@@ -206,6 +206,14 @@ struct SequentialSetup {
 };
 
 SequentialSetup make_sequential_setup(const SolveSpec& spec);
+
+/// Empty when `slots` holds every movable cell of `nl` exactly once — a
+/// slot vector Placement::assign_slots accepts; otherwise the reason,
+/// naming the vector `what`. Shared by Solver::validate (warm-start seeds)
+/// and check_resume_compatible (checkpointed slots).
+std::string slot_permutation_error(const netlist::Netlist& nl,
+                                   const std::vector<netlist::CellId>& slots,
+                                   std::string_view what);
 }  // namespace detail
 
 }  // namespace pts::solver

@@ -5,13 +5,11 @@
 namespace pts::tabu {
 namespace {
 
-/// Per-level trial scratch for the batched scoring path. thread_local so
-/// the free-function call sites (every engine's workers call through here)
-/// stay allocation-free in steady state without threading a buffer through
-/// each signature.
+/// Per-level trial scratch. thread_local so the free-function call sites
+/// (every engine's workers call through here) stay allocation-free in
+/// steady state without threading a buffer through each signature.
 struct TrialScratch {
-  std::vector<Move> moves;
-  std::vector<cost::Move> cmoves;
+  std::vector<cost::Move> moves;
   std::vector<double> costs;
 };
 TrialScratch& trial_scratch() {
@@ -21,58 +19,60 @@ TrialScratch& trial_scratch() {
 
 }  // namespace
 
-// The batched path draws every pair before probing — probes consume no
-// RNG, so the sample stream is identical to the interleaved scalar loop —
-// then scores chunks of `batch` candidates per Evaluator::probe_batch call.
-void best_of_trials(cost::Evaluator& eval,
-                    std::span<const netlist::CellId> movable,
-                    const CellRange& range, std::size_t width,
-                    std::size_t batch, Rng& rng, const FrequencyMemory* memory,
-                    bool use_memory, Move* best_out, double* best_cost_out) {
-  Move best{};
+std::size_t select_best(std::span<const cost::Move> moves,
+                        std::span<const double> costs,
+                        const FrequencyMemory* memory, bool use_memory) {
+  PTS_CHECK(!moves.empty() && costs.size() == moves.size());
+  std::size_t best = 0;
   double best_cost = 0.0;
-  bool have_best = false;
-  if (batch > 1) {
-    TrialScratch& scratch = trial_scratch();
-    scratch.moves.clear();
-    scratch.cmoves.clear();
-    for (std::size_t trial = 0; trial < width; ++trial) {
-      const Move move = sample_move(movable, range, rng);
-      scratch.moves.push_back(move);
-      scratch.cmoves.push_back({move.a, move.b});
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    double cost_after = costs[i];
+    if (use_memory) {
+      cost_after =
+          memory->adjusted_cost(Move{moves[i].a, moves[i].b}, cost_after);
     }
-    scratch.costs.resize(width);
-    for (std::size_t i = 0; i < width; i += batch) {
-      const std::size_t n = std::min(batch, width - i);
-      eval.probe_batch(std::span(scratch.cmoves).subspan(i, n),
-                       std::span(scratch.costs).subspan(i, n));
-    }
-    for (std::size_t trial = 0; trial < width; ++trial) {
-      double cost_after = scratch.costs[trial];
-      if (use_memory) {
-        cost_after = memory->adjusted_cost(scratch.moves[trial], cost_after);
-      }
-      if (!have_best || cost_after < best_cost) {
-        best = scratch.moves[trial];
-        best_cost = cost_after;
-        have_best = true;
-      }
-    }
-  } else {
-    for (std::size_t trial = 0; trial < width; ++trial) {
-      const Move move = sample_move(movable, range, rng);
-      double cost_after = eval.probe_swap(move.a, move.b);
-      if (use_memory) cost_after = memory->adjusted_cost(move, cost_after);
-      if (!have_best || cost_after < best_cost) {
-        best = move;
-        best_cost = cost_after;
-        have_best = true;
-      }
+    if (i == 0 || cost_after < best_cost) {
+      best = i;
+      best_cost = cost_after;
     }
   }
-  PTS_CHECK(have_best);
-  *best_out = best;
-  *best_cost_out = best_cost;
+  return best;
+}
+
+std::size_t commit_best_trial(cost::Evaluator& eval,
+                              std::span<const cost::Move> moves,
+                              const FrequencyMemory* memory, bool use_memory,
+                              double* cost_out) {
+  std::vector<double>& costs = trial_scratch().costs;
+  costs.resize(moves.size());
+  for (std::size_t i = 0; i < moves.size(); i += cost::kProbeBatchWidth) {
+    const std::size_t n = std::min(cost::kProbeBatchWidth, moves.size() - i);
+    eval.probe_batch(moves.subspan(i, n), std::span(costs).subspan(i, n));
+  }
+  const std::size_t best = select_best(moves, costs, memory, use_memory);
+  *cost_out = best + 1 == moves.size()
+                  ? eval.commit_probe()
+                  : eval.apply_swap(moves[best].a, moves[best].b);
+  return best;
+}
+
+// Every pair is drawn before probing — probes consume no RNG, so the sample
+// stream is the one an interleaved sample/probe loop would read.
+Move commit_best_of_trials(cost::Evaluator& eval,
+                           std::span<const netlist::CellId> movable,
+                           const CellRange& range, std::size_t width, Rng& rng,
+                           const FrequencyMemory* memory, bool use_memory,
+                           double* cost_out) {
+  PTS_CHECK(width >= 1);
+  std::vector<cost::Move>& moves = trial_scratch().moves;
+  moves.clear();
+  for (std::size_t trial = 0; trial < width; ++trial) {
+    const Move move = sample_move(movable, range, rng);
+    moves.push_back({move.a, move.b});
+  }
+  const std::size_t best =
+      commit_best_trial(eval, moves, memory, use_memory, cost_out);
+  return Move{moves[best].a, moves[best].b};
 }
 
 void build_compound_move(cost::Evaluator& eval, const CellRange& range,
@@ -92,14 +92,11 @@ void build_compound_move(cost::Evaluator& eval, const CellRange& range,
   compound.improved_early = false;
   compound.cost = start_cost;
   for (std::size_t level = 0; level < params.depth; ++level) {
-    Move best{};
-    double best_cost = 0.0;
-    best_of_trials(eval, movable, range, params.width, params.batch, rng,
-                   memory, use_memory, &best, &best_cost);
     // Keep the level's best move (even if it degrades cost — that is what
     // lets the compound move escape local minima).
-    compound.cost = eval.commit_swap(best.a, best.b);
-    compound.swaps.push_back(best);
+    compound.swaps.push_back(commit_best_of_trials(eval, movable, range,
+                                                   params.width, rng, memory,
+                                                   use_memory, &compound.cost));
     if (params.early_accept && compound.cost < start_cost) {
       compound.improved_early = true;
       break;

@@ -1,7 +1,7 @@
 // Compound move construction (the candidate-list worker's core loop).
 //
 // Per the paper: a compound move is built over up to `depth` levels. At each
-// level, `width` candidate pairs are scored with Evaluator::probe_swap (one
+// level, `width` candidate pairs are scored with Evaluator::probe_batch (one
 // incremental pass per trial, no mutate-and-undo) and the best one is kept
 // and committed. If the running cost drops below the starting cost before
 // reaching max depth, the compound move is accepted immediately without
@@ -26,26 +26,38 @@ struct CompoundParams {
   std::size_t depth = 3;
   /// Early accept: stop as soon as the cost improves on the start cost.
   bool early_accept = true;
-  /// Candidate batch width for Evaluator::probe_batch: each level's trials
-  /// are scored in chunks of up to this many candidates. <= 1 scores one
-  /// probe_swap at a time. Either path yields bit-identical costs and
-  /// trajectories (probes consume no RNG, so drawing all pairs up front
-  /// reads the same sample stream; the reduction is the same
-  /// first-strict-min) — this knob is purely a throughput choice.
-  std::size_t batch = 8;
 };
 
-/// Samples `width` trial pairs from (movable, range, rng), scores them —
-/// through Evaluator::probe_batch in chunks of `batch` when batch > 1, one
-/// probe_swap at a time otherwise; bit-identical either way — and returns
-/// the first-strict-min winner and its cost (memory-adjusted for ranking
-/// when `use_memory`). Shared by the compound and diversification trial
-/// loops; uses thread_local scratch, so steady state does not allocate.
-void best_of_trials(cost::Evaluator& eval,
-                    std::span<const netlist::CellId> movable,
-                    const CellRange& range, std::size_t width,
-                    std::size_t batch, Rng& rng, const FrequencyMemory* memory,
-                    bool use_memory, Move* best_out, double* best_cost_out);
+/// Index of the first strict minimum of `costs` — the selection rule of
+/// every candidate loop — ranking each candidate by its memory-adjusted
+/// cost when `use_memory`.
+std::size_t select_best(std::span<const cost::Move> moves,
+                        std::span<const double> costs,
+                        const FrequencyMemory* memory, bool use_memory);
+
+/// Scores `moves` through Evaluator::probe_batch in chunks of
+/// cost::kProbeBatchWidth, commits the select_best winner and returns its
+/// index; `*cost_out` receives the committed cost. The committed state is
+/// exactly apply_swap(winner)'s: the pending probe is promoted only when
+/// the winner is the last candidate. A reversed duplicate of an earlier
+/// winner may be the one pending, and it folds the same net changes in
+/// another order (the path sums can land an ulp away), so that winner is
+/// applied instead.
+std::size_t commit_best_trial(cost::Evaluator& eval,
+                              std::span<const cost::Move> moves,
+                              const FrequencyMemory* memory, bool use_memory,
+                              double* cost_out);
+
+/// Samples `width` trial pairs from (movable, range, rng) and commits the
+/// best through commit_best_trial; returns the committed swap and writes
+/// its cost to `*cost_out`. Shared by the compound and diversification
+/// trial loops; uses thread_local scratch, so steady state does not
+/// allocate.
+Move commit_best_of_trials(cost::Evaluator& eval,
+                           std::span<const netlist::CellId> movable,
+                           const CellRange& range, std::size_t width, Rng& rng,
+                           const FrequencyMemory* memory, bool use_memory,
+                           double* cost_out);
 
 /// Builds and applies a compound move on `eval`, sampling first cells from
 /// `range`, writing the applied swaps and final cost into `*out` (cleared

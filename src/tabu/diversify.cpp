@@ -15,12 +15,10 @@ void diversify(cost::Evaluator& eval, const CellRange& range,
   const std::span<const netlist::CellId> movable =
       eval.placement().netlist().movable_cells();
   for (std::size_t level = 0; level < params.depth; ++level) {
-    Move best{};
-    double best_cost = 0.0;
-    best_of_trials(eval, movable, range, params.width, params.batch, rng,
-                   /*memory=*/nullptr, /*use_memory=*/false, &best, &best_cost);
-    eval.commit_swap(best.a, best.b);
-    applied->push_back(best);
+    double committed_cost = 0.0;
+    applied->push_back(commit_best_of_trials(
+        eval, movable, range, params.width, rng, /*memory=*/nullptr,
+        /*use_memory=*/false, &committed_cost));
   }
 }
 

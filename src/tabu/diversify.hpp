@@ -26,9 +26,6 @@ struct DiversifyParams {
   /// If false the step is skipped entirely (Figure 9's "no
   /// diversification" run).
   bool enabled = true;
-  /// Candidate batch width for Evaluator::probe_batch (<= 1: scalar
-  /// probe_swap per trial). Bit-identical either way; see CompoundParams.
-  std::size_t batch = 8;
 };
 
 /// Applies the diversification step to `eval`'s current solution

@@ -64,7 +64,7 @@ std::shared_ptr<const PathSet> extract_critical_paths(
   std::sort(pos.begin(), pos.end(), [](const Candidate& a, const Candidate& b) {
     return a.arrival > b.arrival;
   });
-  if (pos.size() > k) pos.resize(k);
+  pos.resize(critical_path_count(netlist, k));
 
   std::vector<TimingPath> paths;
   paths.reserve(pos.size());
@@ -100,6 +100,16 @@ std::shared_ptr<const PathSet> extract_critical_paths(
     paths.push_back(std::move(path));
   }
   return std::make_shared<PathSet>(netlist, std::move(paths));
+}
+
+std::size_t critical_path_count(const netlist::Netlist& netlist,
+                                std::size_t k) {
+  const auto outputs = static_cast<std::size_t>(std::count_if(
+      netlist.pad_cells().begin(), netlist.pad_cells().end(),
+      [&netlist](CellId pad) {
+        return netlist.cell(pad).kind == CellKind::PrimaryOutput;
+      }));
+  return std::min(k, outputs);
 }
 
 PathTimer::PathTimer(std::shared_ptr<const PathSet> paths,

@@ -85,6 +85,12 @@ class PathSet {
 std::shared_ptr<const PathSet> extract_critical_paths(
     const netlist::Netlist& netlist, std::size_t k, const DelayModel& model);
 
+/// How many paths extract_critical_paths(netlist, k, ·) returns, without
+/// running it: one per primary output, at most k. The extraction sizes its
+/// result with this, so state shaped by the monitored set (checkpointed
+/// wire sums) can be checked against it.
+std::size_t critical_path_count(const netlist::Netlist& netlist, std::size_t k);
+
 /// Incrementally maintained per-path wire lengths and the resulting delay
 /// estimate. One instance per worker (cheap: O(K) doubles).
 class PathTimer {
@@ -116,13 +122,15 @@ class PathTimer {
   /// runs of N candidates, candidate i owning [offsets[i], offsets[i+1]);
   /// `out_delays[i]` receives exactly what peek_delta(run_i) would return
   /// (same scratch-copy, same fold order, same reduction — bit-identical).
-  /// offsets.size() must be out_delays.size() + 1.
+  /// offsets.size() must be out_delays.size() + 1. The scratch sums are
+  /// left holding the last run's, ready for commit_peek().
   void peek_delta_batch(std::span<const placement::NetChange> all_changes,
                         std::span<const std::uint32_t> offsets,
                         std::span<double> out_delays);
 
-  /// Promotes the scratch sums of the immediately preceding peek_delta().
-  /// Only valid directly after peek_delta() with no intervening mutation.
+  /// Promotes the scratch sums of the immediately preceding peek_delta()
+  /// (or of the last run of peek_delta_batch()). Only valid directly after
+  /// it with no intervening mutation.
   void commit_peek();
 
   /// Re-derives all wire sums from `hpwl` (drift control / after rebuild).

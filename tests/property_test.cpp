@@ -10,11 +10,17 @@
 //     guarantees (exact gate/PI counts, >= requested POs, acyclic).
 //  2. Probe/commit: Evaluator::probe_swap is bit-identical to apply_swap
 //     along a random committed walk (DESIGN.md §3).
-//  3. Incremental HPWL: probe_nets == update_nets delta-for-delta and
-//     change-for-change, the running total tracks a from-scratch recompute,
+//  3. Incremental HPWL: probe_nets_batch over overlay-staged shadow arrays
+//     == update_nets after the real swap, delta-for-delta, change-for-change
+//     and box-for-box; the running total tracks a from-scratch recompute,
 //     and rebuild() lands exactly on the fresh total.
 //  4. Timing: PathTimer::peek_delta equals the committed
 //     apply_net_change/max_delay sequence bit for bit.
+//  5. Batched probing: every probe_batch candidate equals apply_swap, and
+//     committing the winner — promoted as the pending last candidate or
+//     applied as an earlier one — keeps lockstep with an apply-only twin,
+//     also when the pending candidate is the winner's reversed duplicate.
+//  6. Checkpoint/resume equals the uninterrupted run.
 //
 // Everything is exact-equality where the probe/commit contract promises
 // bit-identity; the only tolerance is incremental-vs-fresh HPWL *drift*,
@@ -25,14 +31,19 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cost/evaluator.hpp"
 #include "netlist/generator.hpp"
+#include "parallel/shared_engine.hpp"
 #include "solver/checkpoint.hpp"
 #include "placement/hpwl.hpp"
+#include "placement/overlay.hpp"
 #include "placement/placement.hpp"
+#include "support/parallel_for.hpp"
 #include "support/rng.hpp"
+#include "tabu/compound.hpp"
 #include "timing/paths.hpp"
 
 namespace pts {
@@ -206,25 +217,45 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
     std::vector<placement::NetBox> boxes;
     std::vector<placement::NetChange> probe_changes;
     std::vector<placement::NetChange> apply_changes;
+    std::vector<CellId> overlay_moved;
     std::vector<CellId> moved;
+    std::vector<double> xs;
+    std::vector<double> ys;
 
     Rng rng(config.seed ^ 0xC4C4ULL);
     const auto& movable = nl.movable_cells();
     for (int i = 0; i < 60; ++i) {
       const auto [ia, ib] = rng.distinct_pair(movable.size());
-      moved.clear();
-      placement.swap_cells(movable[ia], movable[ib], &moved);
-      marker.begin();
-      for (CellId cell : moved) marker.add_nets_of(nl, cell);
+      const CellId a = movable[ia];
+      const CellId b = movable[ib];
 
-      // Probe the same nets the committed update will recompute, then
-      // commit; the probe's delta, per-net changes, and peeked delay must
-      // equal the committed sequence exactly (the §3 contract).
+      // Stage the would-be geometry into shadow copies of the committed
+      // positions, the way Evaluator::probe_batch does, and probe the nets
+      // the moved cells touch.
+      const auto px = placement.positions_x();
+      const auto py = placement.positions_y();
+      xs.assign(px.begin(), px.end());
+      ys.assign(py.begin(), py.end());
+      overlay_moved.clear();
+      const placement::SwapOverlay ov =
+          placement::build_swap_overlay(placement, a, b, &overlay_moved);
+      marker.begin();
+      for (CellId cell : overlay_moved) marker.add_nets_of(nl, cell);
+      for (CellId cell : overlay_moved) {
+        placement::overlaid_position(ov, cell, px[cell], py[cell], &xs[cell],
+                                     &ys[cell]);
+      }
       probe_changes.clear();
-      const double probed_delta =
-          hpwl.probe_nets(marker.nets(), &boxes, &probe_changes);
+      const double probed_delta = hpwl.probe_nets_batch(
+          xs, ys, marker.nets(), &probe_changes, &boxes);
       const double peeked = timer.peek_delta(probe_changes);
 
+      // Commit the real swap over the same nets; the probe's delta, per-net
+      // changes, boxes and peeked delay must equal the committed sequence
+      // exactly (the §3 contract).
+      moved.clear();
+      placement.swap_cells(a, b, &moved);
+      ASSERT_EQ(overlay_moved, moved) << "swap " << i;
       apply_changes.clear();
       const double applied_delta = hpwl.update_nets(marker.nets(), &apply_changes);
       for (const auto& change : apply_changes) {
@@ -238,6 +269,14 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
         ASSERT_EQ(probe_changes[c].old_hpwl, apply_changes[c].old_hpwl);
         ASSERT_EQ(probe_changes[c].new_hpwl, apply_changes[c].new_hpwl);
       }
+      ASSERT_EQ(boxes.size(), marker.nets().size()) << "swap " << i;
+      for (std::size_t k = 0; k < boxes.size(); ++k) {
+        const placement::NetBox& committed = hpwl.net_box(marker.nets()[k]);
+        ASSERT_EQ(boxes[k].min_x, committed.min_x) << "swap " << i;
+        ASSERT_EQ(boxes[k].max_x, committed.max_x) << "swap " << i;
+        ASSERT_EQ(boxes[k].min_y, committed.min_y) << "swap " << i;
+        ASSERT_EQ(boxes[k].max_y, committed.max_y) << "swap " << i;
+      }
       ASSERT_EQ(peeked, timer.max_delay()) << "swap " << i;
     }
 
@@ -250,18 +289,26 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
   }
 }
 
-// -- property 5: probe_batch == N sequential probe_swap, bit for bit ---------
+// -- property 5: probe_batch == apply_swap per candidate, bit for bit --------
 
-TEST(PropertyFuzz, ProbeBatchMatchesScalarBitForBit) {
+bool same_pair(const cost::Move& x, const cost::Move& y) {
+  return (x.a == y.a && x.b == y.b) || (x.a == y.b && x.b == y.a);
+}
+
+TEST(PropertyFuzz, ProbeBatchMatchesApplyBitForBit) {
   for (const GeneratorConfig& config : fuzz_configs()) {
     SCOPED_TRACE(config.name + " gates=" + std::to_string(config.num_gates));
     const Netlist nl = netlist::generate_circuit(config);
     const placement::Layout layout(nl);
-    // Two evaluators seeded identically: one scores through probe_batch,
-    // the other through sequential probe_swap. Their committed states must
-    // stay bit-identical round after round.
-    auto batch_eval = make_eval(nl, layout, config.seed ^ 0xBA7CULL);
-    auto scalar_eval = make_eval(nl, layout, config.seed ^ 0xBA7CULL);
+    // Two evaluators seeded identically: one scores through probe_batch and
+    // commits through the probe paths; its twin only applies (each
+    // candidate applied and undone, then the winner applied). Their
+    // committed states must stay bit-identical round after round. The undo
+    // restores the twin's checkpoint: a second apply_swap would fold the
+    // negated changes into the running sums, where (s + d) - d can land an
+    // ulp away from s.
+    auto probing = make_eval(nl, layout, config.seed ^ 0xBA7CULL);
+    auto applying = make_eval(nl, layout, config.seed ^ 0xBA7CULL);
 
     // A gate on a pad-driven net, forced into every batch so nets with pad
     // pins (whose fixed positions an overlay must never shift) are always
@@ -280,7 +327,7 @@ TEST(PropertyFuzz, ProbeBatchMatchesScalarBitForBit) {
 
     Rng rng(config.seed ^ 0x8A7CULL);
     std::vector<cost::Move> moves;
-    std::vector<double> batch_costs;
+    std::vector<double> costs;
     for (int round = 0; round < 6; ++round) {
       const std::size_t width = static_cast<std::size_t>(rng.between(1, 12));
       moves.clear();
@@ -298,36 +345,159 @@ TEST(PropertyFuzz, ProbeBatchMatchesScalarBitForBit) {
         if (moves[1].b == moves[1].a) moves[1].b = moves[0].b;
       }
 
-      batch_costs.assign(moves.size(), 0.0);
-      batch_eval->probe_batch(moves, batch_costs);
+      costs.assign(moves.size(), 0.0);
+      probing->probe_batch(moves, costs);
 
-      // Bit-identity per candidate; track the first-strict-min winner the
-      // way every candidate loop does.
+      // Bit-identity per candidate against the twin's apply + undo; track
+      // the first-strict-min winner the way every candidate loop does.
+      const cost::Evaluator::CheckpointState committed_state =
+          applying->checkpoint();
       std::size_t best = 0;
       for (std::size_t i = 0; i < moves.size(); ++i) {
-        const double scalar = scalar_eval->probe_swap(moves[i].a, moves[i].b);
-        ASSERT_EQ(batch_costs[i], scalar)
+        const double applied = applying->apply_swap(moves[i].a, moves[i].b);
+        applying->restore_checkpoint(committed_state);
+        ASSERT_EQ(costs[i], applied)
             << config.name << " round " << round << " candidate " << i;
-        if (batch_costs[i] < batch_costs[best]) best = i;
+        if (costs[i] < costs[best]) best = i;
       }
 
-      // Batch-then-commit of the winning index: commit_swap promotes the
-      // scalar evaluator's pending probe only when the winner was the last
-      // candidate probed, so both commit paths get exercised — and both
-      // must leave bit-identical committed state.
-      const double batch_committed =
-          batch_eval->commit_swap(moves[best].a, moves[best].b);
-      const double scalar_committed =
-          scalar_eval->commit_swap(moves[best].a, moves[best].b);
-      ASSERT_EQ(batch_committed, scalar_committed)
-          << config.name << " round " << round;
-      ASSERT_EQ(batch_eval->hpwl().total(), scalar_eval->hpwl().total());
-      ASSERT_TRUE(batch_eval->placement() == scalar_eval->placement());
+      // Commit the winner through both probe paths. Even rounds re-score it
+      // as the last candidate, so commit_probe() promotes the pending
+      // probe; odd rounds commit it while another candidate is pending, so
+      // commit_swap() falls back to apply_swap().
+      const cost::Move winner = moves[best];
+      const double winner_cost = costs[best];
+      double committed = 0.0;
+      if (round % 2 == 0) {
+        std::rotate(moves.begin() + static_cast<std::ptrdiff_t>(best),
+                    moves.begin() + static_cast<std::ptrdiff_t>(best) + 1,
+                    moves.end());
+        probing->probe_batch(moves, costs);
+        ASSERT_EQ(costs.back(), winner_cost) << config.name << " round " << round;
+        committed = probing->commit_probe();
+      } else {
+        if (same_pair(moves.back(), winner)) {
+          const cost::Move decoy =
+              same_pair(winner, {movable[0], movable[1]})
+                  ? cost::Move{movable[0], movable[2]}
+                  : cost::Move{movable[0], movable[1]};
+          const std::vector<cost::Move> pending{winner, decoy};
+          costs.assign(pending.size(), 0.0);
+          probing->probe_batch(pending, costs);
+        }
+        committed = probing->commit_swap(winner.a, winner.b);
+      }
+      const double reference = applying->apply_swap(winner.a, winner.b);
+      ASSERT_EQ(committed, reference) << config.name << " round " << round;
+      ASSERT_EQ(probing->hpwl().total(), applying->hpwl().total());
+      ASSERT_TRUE(probing->placement() == applying->placement());
+      ASSERT_EQ(probing->checkpoint().wire_sums,
+                applying->checkpoint().wire_sums);
     }
   }
 }
 
-// -- property 5: checkpoint/resume == uninterrupted, on random circuits ------
+// A batch of one pair followed by its reversed duplicate, repeated. Both
+// orientations usually score the same, so the pair wins the
+// first-strict-min tie while a reversed probe is the pending one — on the
+// sequential loop's evaluator, and on the parallel-shared coordinator
+// whichever chunks its thread claimed. Both loops must still land on
+// apply_swap(winner) exactly. The two orientations fold the same net
+// changes into the path sums in different orders, so promoting the pending
+// probe would leave the sums an ulp off wherever that order matters. Pairs
+// are drawn from cells on monitored paths, where it most often does, and
+// the test asserts that it met such a pair.
+TEST(PropertyFuzz, ReversedDuplicateWinnerIsAppliedNotPromoted) {
+  std::size_t order_sensitive = 0;
+  for (const GeneratorConfig& config : fuzz_configs()) {
+    SCOPED_TRACE(config.name + " gates=" + std::to_string(config.num_gates));
+    const Netlist nl = netlist::generate_circuit(config);
+    const placement::Layout layout(nl);
+    // One solution under five evaluators: the sequential loop's, the
+    // parallel-shared coordinator at one thread, the coordinator and two
+    // replicas at three threads, and an apply-only twin.
+    const std::uint64_t seed = config.seed ^ 0x2E5EULL;
+    auto sequential = make_eval(nl, layout, seed);
+    auto applying = make_eval(nl, layout, seed);
+    std::vector<std::unique_ptr<cost::Evaluator>> shared_evals;
+    for (int i = 0; i < 4; ++i) {
+      shared_evals.push_back(make_eval(nl, layout, seed));
+    }
+    ThreadPool pool_one(1);
+    ThreadPool pool_three(3);
+    parallel::SharedCompoundStrategy shared_one(pool_one, {shared_evals[0].get()},
+                                                /*chunk=*/1);
+    parallel::SharedCompoundStrategy shared_three(
+        pool_three,
+        {shared_evals[1].get(), shared_evals[2].get(), shared_evals[3].get()},
+        /*chunk=*/1);
+    const std::pair<parallel::SharedCompoundStrategy*, cost::Evaluator*>
+        coordinators[] = {{&shared_one, shared_evals[0].get()},
+                          {&shared_three, shared_evals[1].get()}};
+
+    const cost::CostParams params;
+    const auto paths =
+        timing::extract_critical_paths(nl, params.num_paths, params.delay_model);
+    std::vector<CellId> on_path;
+    for (std::size_t p = 0; p < paths->size(); ++p) {
+      for (CellId cell : paths->path(p).cells) {
+        if (nl.cell(cell).movable()) on_path.push_back(cell);
+      }
+    }
+    std::sort(on_path.begin(), on_path.end());
+    on_path.erase(std::unique(on_path.begin(), on_path.end()), on_path.end());
+    const std::vector<CellId>& cells =
+        on_path.size() >= 2 ? on_path : nl.movable_cells();
+
+    Rng rng(config.seed ^ 0x5E5EULL);
+    std::vector<cost::Move> batch;
+    for (int round = 0; round < 24; ++round) {
+      const auto [ia, ib] = rng.distinct_pair(cells.size());
+      const CellId a = cells[ia];
+      const CellId b = cells[ib];
+
+      // The twin's (b, a) sums, to tell whether this pair's order matters.
+      const cost::Evaluator::CheckpointState committed_state =
+          applying->checkpoint();
+      applying->apply_swap(b, a);
+      const std::vector<double> reversed_sums = applying->checkpoint().wire_sums;
+      applying->restore_checkpoint(committed_state);
+
+      batch.assign(cost::kProbeBatchWidth, cost::Move{b, a});
+      batch.front() = cost::Move{a, b};
+      double committed = 0.0;
+      const std::size_t winner = tabu::commit_best_trial(
+          *sequential, batch, /*memory=*/nullptr, /*use_memory=*/false,
+          &committed);
+      const double reference =
+          applying->apply_swap(batch[winner].a, batch[winner].b);
+      const std::vector<double> sums = applying->checkpoint().wire_sums;
+      if (winner == 0 && sums != reversed_sums) ++order_sensitive;
+      ASSERT_EQ(committed, reference) << "round " << round;
+      ASSERT_EQ(sequential->hpwl().total(), applying->hpwl().total());
+      ASSERT_TRUE(sequential->placement() == applying->placement());
+      ASSERT_EQ(sequential->checkpoint().wire_sums, sums) << "round " << round;
+
+      for (const auto& [strategy, coordinator] : coordinators) {
+        double shared_committed = 0.0;
+        ASSERT_EQ(strategy->commit_best_trial(batch, /*memory=*/nullptr,
+                                              /*use_memory=*/false,
+                                              &shared_committed),
+                  winner);
+        ASSERT_EQ(shared_committed, reference) << "round " << round;
+        ASSERT_EQ(coordinator->hpwl().total(), applying->hpwl().total());
+        ASSERT_TRUE(coordinator->placement() == applying->placement());
+        ASSERT_EQ(coordinator->checkpoint().wire_sums, sums)
+            << "round " << round;
+      }
+    }
+  }
+  EXPECT_GT(order_sensitive, 0u)
+      << "no pair whose orientation changes the path sums: the case above "
+         "went untested";
+}
+
+// -- property 6: checkpoint/resume == uninterrupted, on random circuits ------
 
 TEST(PropertyFuzz, ResumedSearchMatchesUninterruptedBitForBit) {
   const auto configs = fuzz_configs();

@@ -227,6 +227,23 @@ TEST(Codec, StrictDecodingRejectsBadSpecs) {
   EXPECT_FALSE(decode_spec("solve it please", &error).has_value());
 }
 
+// The candidate batch width is a fixed constant of the probe kernel, not a
+// spec knob: specs that still carry the retired members are rejected like
+// any other unknown key, with the dotted path of the object holding it.
+TEST(Codec, RetiredBatchMembersAreUnknownKeys) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"circuit":"highway","tabu":{"compound":{"batch":8}}})",
+       "spec.tabu.compound: unknown key 'batch'"},
+      {R"({"circuit":"highway","parallel":{"diversify":{"batch":8}}})",
+       "spec.parallel.diversify: unknown key 'batch'"},
+  };
+  for (const auto& [text, expected] : cases) {
+    std::string error;
+    EXPECT_FALSE(decode_spec(text, &error).has_value()) << text;
+    EXPECT_EQ(error, expected);
+  }
+}
+
 TEST(Codec, ResultRoundTripIsBitExact) {
   auto result = solver::Solver().solve(highway_spec("tabu", 11, 80));
   ASSERT_GT(result.best_vs_time.size(), 0u);

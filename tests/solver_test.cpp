@@ -737,6 +737,100 @@ TEST(SolverCheckpoint, CheckpointJsonRoundTripsAndRejectsGarbage) {
   EXPECT_NE(check_resume_compatible(other_circuit, solve.checkpoint), "");
 }
 
+// The checkpoint decoder follows the shared strict-schema rules: every key
+// is required and unknown keys are errors naming their dotted path.
+TEST(SolverCheckpoint, DecodeRejectsUnknownAndMissingKeys) {
+  SolveSpec spec;
+  spec.engine = "tabu";
+  spec.netlist = &experiments::circuit("highway");
+  spec.seed = 5;
+  spec.tabu.iterations = 30;
+  const std::string encoded =
+      encode_checkpoint(solve_with_checkpoint(spec).checkpoint);
+  Checkpoint decoded;
+  ASSERT_EQ(decode_checkpoint(encoded, &decoded), "");
+  EXPECT_EQ(encode_checkpoint(decoded), encoded);
+
+  std::string top = encoded;
+  top.insert(1, "\"bogus\":1,");
+  const std::string top_error = decode_checkpoint(top, &decoded);
+  EXPECT_NE(top_error.find("checkpoint: unknown key 'bogus'"),
+            std::string::npos)
+      << top_error;
+
+  std::string nested = encoded;
+  const std::size_t eval_at = nested.find("\"eval\":{");
+  ASSERT_NE(eval_at, std::string::npos);
+  nested.insert(eval_at + 8, "\"extra\":0,");
+  const std::string nested_error = decode_checkpoint(nested, &decoded);
+  EXPECT_NE(nested_error.find("checkpoint.eval: unknown key 'extra'"),
+            std::string::npos)
+      << nested_error;
+
+  std::string missing = encoded;
+  const std::size_t key_at = missing.find("\"hpwl_total\":");
+  ASSERT_NE(key_at, std::string::npos);
+  missing.erase(key_at, missing.find(',', key_at) + 1 - key_at);
+  const std::string missing_error = decode_checkpoint(missing, &decoded);
+  EXPECT_NE(missing_error.find("hpwl_total is required"), std::string::npos)
+      << missing_error;
+}
+
+// A decoded checkpoint is well-formed JSON, not necessarily consistent
+// state. Each corruption below would abort inside resume_from_checkpoint
+// (slot assignment, wire-sum or frequency restore), so
+// check_resume_compatible must report it instead.
+struct ResumeCase {
+  SolveSpec spec;
+  Checkpoint checkpoint;
+};
+
+ResumeCase highway_resume_case() {
+  ResumeCase c;
+  c.spec.engine = "tabu";
+  c.spec.netlist = &experiments::circuit("highway");
+  c.spec.seed = 5;
+  c.spec.tabu.iterations = 30;
+  c.checkpoint = solve_with_checkpoint(c.spec).checkpoint;
+  EXPECT_EQ(check_resume_compatible(c.spec, c.checkpoint), "");
+  return c;
+}
+
+TEST(SolverCheckpoint, ResumeCheckRejectsDuplicatedSlot) {
+  ResumeCase c = highway_resume_case();
+  c.checkpoint.eval.slots[1] = c.checkpoint.eval.slots[0];
+  EXPECT_NE(check_resume_compatible(c.spec, c.checkpoint), "");
+}
+
+TEST(SolverCheckpoint, ResumeCheckRejectsPadInBestSlots) {
+  ResumeCase c = highway_resume_case();
+  c.checkpoint.search.best_slots[0] = c.spec.netlist->pad_cells().front();
+  EXPECT_NE(check_resume_compatible(c.spec, c.checkpoint), "");
+}
+
+TEST(SolverCheckpoint, ResumeCheckRejectsShortWireSums) {
+  ResumeCase c = highway_resume_case();
+  c.checkpoint.eval.wire_sums.pop_back();
+  EXPECT_NE(check_resume_compatible(c.spec, c.checkpoint), "");
+}
+
+TEST(SolverCheckpoint, ResumeCheckRejectsShortFrequencyVectors) {
+  ResumeCase c = highway_resume_case();
+  c.checkpoint.search.frequency.counts.pop_back();
+  EXPECT_NE(check_resume_compatible(c.spec, c.checkpoint), "");
+  ResumeCase d = highway_resume_case();
+  d.checkpoint.search.frequency.improving_counts.pop_back();
+  EXPECT_NE(check_resume_compatible(d.spec, d.checkpoint), "");
+}
+
+TEST(SolverCheckpoint, ResumeCheckRejectsOutOfRangeTabuEntry) {
+  ResumeCase c = highway_resume_case();
+  const auto num_cells =
+      static_cast<netlist::CellId>(c.spec.netlist->num_cells());
+  c.checkpoint.search.tabu_entries.push_back(tabu::Move{0, num_cells});
+  EXPECT_NE(check_resume_compatible(c.spec, c.checkpoint), "");
+}
+
 TEST(SolverCheckpoint, ColdSolveWithCheckpointMatchesSolver) {
   const auto& nl = experiments::circuit("highway");
   SolveSpec spec;

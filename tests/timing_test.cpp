@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "netlist/generator.hpp"
 #include "placement/hpwl.hpp"
@@ -114,6 +115,26 @@ TEST(Paths, ExtractsAtMostKPathsSortedByCriticality) {
     // Edges are consistent: nets[i] connects cells[i] -> cells[i+1].
     for (std::size_t e = 0; e < path.nets.size(); ++e) {
       EXPECT_EQ(nl.net(path.nets[e]).driver, path.cells[e]);
+    }
+  }
+}
+
+TEST(Paths, CountMatchesExtractionWithoutRunningIt) {
+  // critical_path_count is what checkpoint validation holds wire sums
+  // against, so it must agree with the extraction on both sides of the
+  // primary-output count.
+  for (const std::size_t outputs : {1u, 5u, 12u}) {
+    GeneratorConfig config;
+    config.num_gates = 120;
+    config.num_primary_outputs = outputs;
+    config.seed = 11 + outputs;
+    const Netlist nl = generate_circuit(config);
+    const DelayModel model;
+    for (const std::size_t k : {1u, 4u, 24u}) {
+      SCOPED_TRACE("outputs " + std::to_string(outputs) + " k " +
+                   std::to_string(k));
+      EXPECT_EQ(critical_path_count(nl, k),
+                extract_critical_paths(nl, k, model)->size());
     }
   }
 }
