@@ -6,10 +6,11 @@ throughput benches (BM_ProbeSwap / BM_ApplySwap / BM_ProbeBatch{4,8,16,32})
 keyed by circuit, and writes a small JSON file with ns per candidate per
 bench plus the batch8-vs-width-1 probe speedup per circuit. With --macro it
 additionally runs `macro_scale --smoke` and folds its per-circuit scale
-report (build/setup/probe times, the short engine runs, and the
-parallel-shared strong-scaling counters at 1/2/4/8 threads) into the
-output. CI runs this on every push and uploads the result as an artifact
-(BENCH_baseline.json), so future PRs have a trajectory of throughput
+report (build/setup/probe times, the layer-by-layer probe profile, the
+short engine runs, and the parallel-shared strong-scaling counters at
+1/2/4/8 threads) into the output. CI runs this on every push and uploads
+the result as an artifact (BENCH_baseline.json), so future PRs have a
+trajectory of throughput
 numbers to compare against; the checked-in bench/BENCH_baseline.json is the
 latest snapshot. The retired CSR-vs-vector-of-vectors and
 probe-vs-apply/undo ratios are recorded in CHANGES.md.
@@ -17,6 +18,11 @@ probe-vs-apply/undo ratios are recorded in CHANGES.md.
 Both inputs are schema-validated: a tracked bench or counter that goes
 missing (renamed benchmark, label format drift, a MACRO line losing a key)
 fails the run loudly instead of silently emitting a hollow perf trail.
+The run also fails when fewer than O1_SHARE_FLOOR of the touched nets in a
+circuit's probe profile are scored on the runner-up O(1) path: a kernel
+that quietly falls back to re-reading every pin stays correct, so no test
+would notice, but it gives back the speed-up. The share is a count over
+fixed-seed pairs, so it does not vary between runners.
 
 Usage:
     bench/dump_json.py <path-to-micro_core> [--macro <path-to-macro_scale>]
@@ -39,7 +45,14 @@ BATCH_WIDTHS = {"BM_ProbeBatch4": 4, "BM_ProbeBatch8": 8,
 
 MACRO_KEYS = ("circuit", "gates", "nets", "pins", "logic_depth", "build_ms",
               "setup_ms", "probe_ns", "batch_probe_ns", "batch_speedup",
-              "engines", "shared_scaling", "eco")
+              "probe_profile", "engines", "shared_scaling", "eco")
+PROFILE_KEYS = ("pairs", "equal", "unequal", "moved_cells", "nets", "pins",
+                "o1_share", "rescan_share", "overlay_ns", "marking_ns",
+                "box_ns", "delay_ns", "owa_ns", "equal_probe_ns",
+                "unequal_probe_ns")
+PROFILE_PHASES = ("overlay_ns", "marking_ns", "box_ns", "delay_ns", "owa_ns")
+# Measured 0.96 on scale10k and 0.98 on scale50k when the kernel landed.
+O1_SHARE_FLOOR = 0.9
 ECO_KEYS = ("cold_trials", "warm_trials", "trials_ratio", "cold_best_cost",
             "warm_initial_cost", "warm_best_cost", "warm_reached_target")
 MACRO_ENGINES = ("tabu", "anneal", "parallel-sim", "parallel-shared")
@@ -139,6 +152,27 @@ def run_macro(binary):
             if not point["speedup_vs_1"] > 0:
                 fail(f"MACRO entry {entry['circuit']} shared_scaling[{threads}]"
                      f" non-positive speedup_vs_1")
+        profile = entry["probe_profile"]
+        absent = [k for k in PROFILE_KEYS if k not in profile]
+        if absent:
+            fail(f"MACRO entry {entry['circuit']} probe_profile missing "
+                 f"counters {absent}")
+        if profile["equal"] + profile["unequal"] != profile["pairs"]:
+            fail(f"MACRO entry {entry['circuit']} probe_profile equal + "
+                 f"unequal != pairs")
+        for key in ("o1_share", "rescan_share"):
+            if not 0.0 <= profile[key] <= 1.0:
+                fail(f"MACRO entry {entry['circuit']} probe_profile {key} "
+                     f"{profile[key]} outside [0, 1]")
+        for key in PROFILE_PHASES:
+            if not profile[key] > 0:
+                fail(f"MACRO entry {entry['circuit']} probe_profile "
+                     f"non-positive {key}")
+        if profile["o1_share"] < O1_SHARE_FLOOR:
+            fail(f"MACRO entry {entry['circuit']} scored only "
+                 f"{profile['o1_share']:.3f} of touched nets on the O(1) "
+                 f"runner-up path (floor {O1_SHARE_FLOOR}): the probe kernel "
+                 f"is falling back to re-reading pins")
         absent = [k for k in ECO_KEYS if k not in entry["eco"]]
         if absent:
             fail(f"MACRO entry {entry['circuit']} eco block missing counters "
@@ -195,10 +229,16 @@ def main():
                 f"{t}T {scaling[t]['speedup_vs_1']:.2f}x"
                 for t in SCALING_THREADS)
             eco = entry["eco"]
+            profile = entry["probe_profile"]
+            phases = " | ".join(f"{k[:-3]} {profile[k]:.0f}"
+                                for k in PROFILE_PHASES)
             print(f"  {circuit}: build {entry['build_ms']:.0f} ms, "
                   f"probe {entry['probe_ns']:.0f} ns/op, "
                   f"shared scaling {speedups}, "
                   f"eco warm/cold trials {eco['trials_ratio']:.3f}")
+            print(f"  {circuit} probe profile: O(1) nets "
+                  f"{profile['o1_share']:.3f}, commit rescans "
+                  f"{profile['rescan_share']:.3f}, ns/probe {phases}")
     return 0
 
 

@@ -10,6 +10,13 @@
 //              seconds for parallel-sim), cost before/after, and tt50 — the
 //              engine-clock instant the run had realized half of its own
 //              improvement.
+//   profile    the probe layer by layer on 2,048 sampled pairs: equal vs
+//              unequal widths, moved cells / touched nets / pins per probe,
+//              the share of touched nets scored on the runner-up O(1) path,
+//              the share of committed nets recomputed from their pins, and
+//              ns per phase (moved list + overlay staging, net marking, box
+//              kernel, delay replay, OWA). Each phase is bracketed by
+//              steady-clock reads, whose own cost lands in the phases.
 //   scaling    strong-scaling counters for the shared-memory backend: the
 //              same parallel-shared run at 1/2/4/8 threads, reporting trial
 //              throughput (probes/s) and speedup vs its own 1-thread run.
@@ -23,6 +30,7 @@
 // Each circuit additionally emits one `MACRO {json}` line; bench/dump_json.py
 // parses and schema-validates those into the BENCH_*.json perf trail.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +40,8 @@
 #include "bench_common.hpp"
 #include "cost/evaluator.hpp"
 #include "netlist/benchmarks.hpp"
+#include "placement/hpwl.hpp"
+#include "placement/overlay.hpp"
 #include "placement/placement.hpp"
 #include "solver/solver.hpp"
 #include "support/stopwatch.hpp"
@@ -84,6 +94,156 @@ EngineReport run_engine(const netlist::Netlist& nl, const std::string& engine,
         experiments::improvement_threshold(result, 0.5));
   }
   return report;
+}
+
+struct ProbeProfile {
+  std::size_t pairs = 0;
+  std::size_t equal = 0;    ///< pairs of equal cell widths
+  std::size_t unequal = 0;  ///< pairs whose swap shifts row tails
+  double moved_cells = 0.0;  ///< per probe
+  double nets = 0.0;         ///< touched nets per probe
+  double pins = 0.0;         ///< pins of the touched nets per probe
+  double o1_share = 0.0;      ///< touched nets scored from the runner-ups
+  double rescan_share = 0.0;  ///< committed nets recomputed from their pins
+  // Mean ns per probe in each phase, and per probe of each width class.
+  double overlay_ns = 0.0;
+  double marking_ns = 0.0;
+  double box_ns = 0.0;
+  double delay_ns = 0.0;
+  double owa_ns = 0.0;
+  double equal_probe_ns = 0.0;
+  double unequal_probe_ns = 0.0;
+};
+
+// Scores sampled pairs phase by phase with the same pieces, in the same
+// order, as Evaluator::probe_batch at width 1 — against `eval`'s committed
+// placement and HPWL state, a PathTimer rebuilt from them, and `eval`'s
+// goals — then commits a stream of pairs through `eval` to measure how
+// many committed nets the runner-up update had to recompute.
+ProbeProfile profile_probes(const netlist::Netlist& nl, cost::Evaluator& eval,
+                            std::shared_ptr<const timing::PathSet> paths,
+                            const cost::CostParams& params) {
+  using Clock = std::chrono::steady_clock;
+  const placement::Placement& placement = eval.placement();
+  const placement::HpwlState& hpwl = eval.hpwl();
+  const netlist::Topology& topo = nl.topology();
+  timing::PathTimer timer(paths, hpwl, params.delay_model);
+  const timing::PathSet& pset = *paths;
+  const auto px = placement.positions_x();
+  const auto py = placement.positions_y();
+  std::vector<double> xs(px.begin(), px.end());
+  std::vector<double> ys(py.begin(), py.end());
+  placement::NetMarker marker(nl.num_nets());
+  std::vector<netlist::CellId> moved;
+  moved.reserve(nl.num_cells());
+  std::vector<placement::NetChange> changes;
+  changes.reserve(nl.num_nets());
+  std::vector<placement::NetChange> path_changes;
+  path_changes.reserve(pset.num_path_nets());
+  std::vector<std::uint32_t> offsets(2, 0);
+  std::vector<double> delays(1);
+  std::vector<cost::Objectives> objs(1);
+  std::vector<double> costs(1);
+
+  const auto& movable = nl.movable_cells();
+  Rng rng(0x9a125);
+  ProbeProfile prof;
+  prof.pairs = 2048;
+  std::vector<cost::Move> pairs;
+  while (pairs.size() < prof.pairs) {
+    const auto [ia, ib] = rng.distinct_pair(movable.size());
+    pairs.push_back({movable[ia], movable[ib]});
+  }
+  double o1_nets = 0.0;
+  double t_overlay = 0.0, t_mark = 0.0, t_box = 0.0, t_delay = 0.0,
+         t_owa = 0.0, t_equal = 0.0, t_unequal = 0.0;
+  const auto ns = [](Clock::time_point from, Clock::time_point to) {
+    return std::chrono::duration<double, std::nano>(to - from).count();
+  };
+  for (int pass = 0; pass < 2; ++pass) {  // pass 0 warms every buffer
+    for (const cost::Move& m : pairs) {
+      const auto t0 = Clock::now();
+      moved.clear();
+      const placement::SwapOverlay ov =
+          placement::build_swap_overlay(placement, m.a, m.b, &moved);
+      for (netlist::CellId c : moved) {
+        placement::overlaid_position(ov, c, px[c], py[c], &xs[c], &ys[c]);
+      }
+      const auto t1 = Clock::now();
+      marker.begin();
+      for (netlist::CellId c : moved) marker.add_nets_of(topo, c);
+      const auto t2 = Clock::now();
+      const placement::RowMovers movers = py[m.a] != py[m.b]
+                                              ? placement::RowMovers{m.a, m.b}
+                                              : placement::RowMovers{};
+      changes.clear();
+      const double delta = hpwl.probe_nets_batch(xs, ys, marker, movers,
+                                                 &changes, nullptr);
+      for (netlist::CellId c : moved) {
+        xs[c] = px[c];
+        ys[c] = py[c];
+      }
+      const auto t3 = Clock::now();
+      path_changes.clear();
+      for (const auto& change : changes) {
+        if (pset.net_on_path(change.net)) path_changes.push_back(change);
+      }
+      offsets[1] = static_cast<std::uint32_t>(path_changes.size());
+      timer.peek_delta_batch(path_changes, offsets, delays);
+      const auto t4 = Clock::now();
+      objs[0] = {hpwl.total() + delta, delays[0],
+                 ov.max_extent * placement.layout().core_height()};
+      eval.goals().cost_batch(objs, costs);
+      const auto t5 = Clock::now();
+      if (pass == 0) continue;
+
+      const bool equal = topo.cell_width(m.a) == topo.cell_width(m.b);
+      (equal ? prof.equal : prof.unequal) += 1;
+      prof.moved_cells += static_cast<double>(moved.size());
+      const auto nets = marker.nets();
+      prof.nets += static_cast<double>(nets.size());
+      for (std::size_t k = 0; k < nets.size(); ++k) {
+        prof.pins += static_cast<double>(topo.pins(nets[k]).size());
+        const netlist::CellId c = marker.first_cells()[k];
+        o1_nets += (marker.cell_counts()[k] == 1 && c != movers.a &&
+                    c != movers.b)
+                       ? 1.0
+                       : 0.0;
+      }
+      t_overlay += ns(t0, t1);
+      t_mark += ns(t1, t2);
+      t_box += ns(t2, t3);
+      t_delay += ns(t3, t4);
+      t_owa += ns(t4, t5);
+      (equal ? t_equal : t_unequal) += ns(t0, t5);
+    }
+  }
+  const double n = static_cast<double>(prof.pairs);
+  prof.o1_share = o1_nets / std::max(prof.nets, 1.0);
+  prof.moved_cells /= n;
+  prof.nets /= n;
+  prof.pins /= n;
+  prof.overlay_ns = t_overlay / n;
+  prof.marking_ns = t_mark / n;
+  prof.box_ns = t_box / n;
+  prof.delay_ns = t_delay / n;
+  prof.owa_ns = t_owa / n;
+  prof.equal_probe_ns = t_equal / std::max<double>(1.0, prof.equal);
+  prof.unequal_probe_ns = t_unequal / std::max<double>(1.0, prof.unequal);
+
+  // Commit stream: every sampled pair promoted, then undone (both count).
+  const std::uint64_t committed0 = hpwl.committed_nets();
+  const std::uint64_t rescanned0 = hpwl.rescanned_nets();
+  for (const cost::Move& m : pairs) {
+    eval.probe_swap(m.a, m.b);
+    eval.commit_probe();
+    eval.apply_swap(m.a, m.b);
+  }
+  prof.rescan_share =
+      static_cast<double>(hpwl.rescanned_nets() - rescanned0) /
+      std::max<double>(1.0, static_cast<double>(hpwl.committed_nets() -
+                                                committed0));
+  return prof;
 }
 
 struct ScalingPoint {
@@ -200,7 +360,7 @@ int main(int argc, char** argv) {
         timing::extract_critical_paths(nl, params.num_paths, params.delay_model);
     const cost::FuzzyGoals goals =
         cost::Evaluator::calibrate_goals(placement, *paths, params);
-    cost::Evaluator eval(std::move(placement), std::move(paths), params, goals);
+    cost::Evaluator eval(std::move(placement), paths, params, goals);
     const double setup_ms = watch.millis();
 
     // Steady-state probe throughput over random candidate swaps (warm-up
@@ -248,6 +408,7 @@ int main(int argc, char** argv) {
         watch.seconds() * 1e9 /
         static_cast<double>(batch_rounds * batch_width);
     const double batch_speedup = probe_ns / batch_probe_ns;
+    const ProbeProfile prof = profile_probes(nl, eval, paths, params);
 
     std::vector<EngineReport> engines;
     for (const char* engine :
@@ -265,6 +426,15 @@ int main(int argc, char** argv) {
                   e.best_cost, e.tt50_s);
     }
     std::printf("(probe sink %.3g)\n", sink);
+    std::printf(
+        "%-10s probe profile: %zu equal / %zu unequal, %.1f moved cells, "
+        "%.1f nets, %.1f pins per probe; O(1) nets %.3f, commit rescans "
+        "%.3f; ns overlay %.0f | marking %.0f | box %.0f | delay %.0f | "
+        "owa %.0f (equal %.0f, unequal %.0f per probe)\n",
+        "", prof.equal, prof.unequal, prof.moved_cells, prof.nets, prof.pins,
+        prof.o1_share, prof.rescan_share, prof.overlay_ns, prof.marking_ns,
+        prof.box_ns, prof.delay_ns, prof.owa_ns, prof.equal_probe_ns,
+        prof.unequal_probe_ns);
     std::printf("%-10s shared scaling:", "");
     for (const ScalingPoint& p : scaling) {
       std::printf("  %zuT %.3gx (%.3g trials/s)", p.threads, p.speedup_vs_1,
@@ -295,6 +465,17 @@ int main(int argc, char** argv) {
           i == 0 ? "" : ",", e.name.c_str(), e.wall_ms, e.makespan_s,
           e.initial_cost, e.best_cost, e.best_quality, e.tt50_s);
     }
+    std::printf(
+        "},\"probe_profile\":{\"pairs\":%zu,\"equal\":%zu,\"unequal\":%zu,"
+        "\"moved_cells\":%.3f,\"nets\":%.3f,\"pins\":%.3f,"
+        "\"o1_share\":%.6f,\"rescan_share\":%.6f,\"overlay_ns\":%.1f,"
+        "\"marking_ns\":%.1f,\"box_ns\":%.1f,\"delay_ns\":%.1f,"
+        "\"owa_ns\":%.1f,\"equal_probe_ns\":%.1f,"
+        "\"unequal_probe_ns\":%.1f",
+        prof.pairs, prof.equal, prof.unequal, prof.moved_cells, prof.nets,
+        prof.pins, prof.o1_share, prof.rescan_share, prof.overlay_ns,
+        prof.marking_ns, prof.box_ns, prof.delay_ns, prof.owa_ns,
+        prof.equal_probe_ns, prof.unequal_probe_ns);
     std::printf("},\"shared_scaling\":{");
     for (std::size_t i = 0; i < scaling.size(); ++i) {
       const ScalingPoint& p = scaling[i];

@@ -23,7 +23,7 @@ Evaluator::Evaluator(placement::Placement placement,
   // by topology_test's allocation-counting guard).
   moved_scratch_.reserve(placement_.netlist().num_cells());
   change_scratch_.reserve(placement_.netlist().num_nets());
-  box_scratch_.reserve(placement_.netlist().num_nets());
+  probed_.states.reserve(placement_.netlist().num_nets());
   const auto px = placement_.positions_x();
   const auto py = placement_.positions_y();
   shadow_x_.assign(px.begin(), px.end());
@@ -39,23 +39,10 @@ Objectives Evaluator::objectives() const {
 }
 
 double Evaluator::apply_swap(CellId a, CellId b) {
-  probe_valid_ = false;
-  moved_scratch_.clear();
-  placement_.swap_cells(a, b, &moved_scratch_);
-  refresh_shadow(moved_scratch_);
-
-  marker_.begin();
-  for (CellId cell : moved_scratch_) marker_.add_nets_of(*topology_, cell);
-
-  change_scratch_.clear();
-  hpwl_.update_nets(marker_.nets(), &change_scratch_);
-  for (const auto& change : change_scratch_) {
-    timer_.apply_net_change(change.net, change.old_hpwl, change.new_hpwl);
-  }
-
-  ++swaps_applied_;
-  if (++swaps_since_rebuild_ >= params_.rebuild_interval) rebuild_all();
-  return cost();
+  // One commit path: score the pair, then promote it. The promoted state is
+  // bit-identical to an update of every touched net from its pins.
+  probe_swap(a, b);
+  return commit_probe();
 }
 
 double Evaluator::probe_swap(CellId a, CellId b) {
@@ -113,11 +100,16 @@ void Evaluator::probe_batch(std::span<const Move> moves,
       placement::overlaid_position(ov, cell, px[cell], py[cell],
                                    &shadow_x_[cell], &shadow_y_[cell]);
     }
+    // a and b change rows exactly when they sit on different rows.
+    const CellId a = moves[i].a;
+    const CellId b = moves[i].b;
+    const placement::RowMovers movers =
+        py[a] != py[b] ? placement::RowMovers{a, b} : placement::RowMovers{};
 
     change_scratch_.clear();
     const double delta = hpwl_.probe_nets_batch(
-        shadow_x_, shadow_y_, marker_.nets(), &change_scratch_,
-        i == last ? &box_scratch_ : nullptr);
+        shadow_x_, shadow_y_, marker_, movers, &change_scratch_,
+        i == last ? &probed_ : nullptr);
     for (CellId cell : moved_scratch_) {
       shadow_x_[cell] = px[cell];
       shadow_y_[cell] = py[cell];
@@ -153,9 +145,9 @@ double Evaluator::commit_probe() {
   placement_.swap_cells(probe_a_, probe_b_);
   // moved_scratch_ still holds the pending candidate's moved set
   // (build_swap_overlay reports the cells swap_cells moves, and
-  // probe_valid_ guarantees no intervening mutation).
+  // probe_valid_ guarantees no intervening mutation), and marker_ its nets.
   refresh_shadow(moved_scratch_);
-  hpwl_.commit_probe(marker_.nets(), box_scratch_, probe_delta_);
+  hpwl_.commit_probe(marker_.nets(), probed_, probe_delta_);
   timer_.commit_peek();
 
   ++swaps_applied_;
@@ -219,12 +211,11 @@ void Evaluator::rebuild_all() {
 FuzzyGoals Evaluator::calibrate_goals(const placement::Placement& initial,
                                       const timing::PathSet& paths,
                                       const CostParams& params) {
-  placement::HpwlState hpwl(initial);
-  // Non-owning timer: `paths` outlives this calibration-only instance.
-  timing::PathTimer timer(paths, hpwl, params.delay_model);
+  // Totals only: the same values a fresh HpwlState and PathTimer would
+  // report, without building either.
   Objectives o;
-  o.wirelength = hpwl.total();
-  o.delay = timer.max_delay();
+  o.wirelength = placement::total_hpwl(initial);
+  o.delay = timing::fresh_max_delay(paths, initial, params.delay_model);
   o.area = initial.max_row_extent() * initial.layout().core_height();
   return FuzzyGoals::calibrate(o, params.target_improvement,
                                params.initial_membership, params.beta);

@@ -18,7 +18,8 @@
 // against the same running totals (same floating-point summation order), and
 // a commit leaves state bit-identical to the equivalent apply_swap() — the
 // same-seed determinism guarantee does not care which path evaluated a move.
-// Committed mutation stays available for non-trial uses:
+// Committed mutation stays available for non-trial uses (it is a probe of
+// the pair followed by its promotion):
 //
 //   double after = eval.apply_swap(a, b);   // mutate + incremental update
 //   ...
@@ -90,7 +91,8 @@ class Evaluator {
 
   /// Swaps two movable cells, updates all incremental state, and returns
   /// the new scalar cost. Involution: calling again with the same pair
-  /// undoes the move.
+  /// undoes the move. Implemented as probe_swap(a, b) + commit_probe(), so
+  /// every commit advances the HPWL runner-ups through one path.
   double apply_swap(netlist::CellId a, netlist::CellId b);
 
   /// Returns the scalar cost apply_swap(a, b) would return, without
@@ -106,8 +108,9 @@ class Evaluator {
   /// mutating the placement geometry at all. Each candidate is described by
   /// a SwapOverlay (placement/overlay.hpp) staged into shadow position
   /// arrays (O(moved) writes, restored after the probe), and its touched
-  /// nets are recomputed with the plain-load box kernel
-  /// (HpwlState::probe_nets_batch); per-candidate net changes are replayed
+  /// nets are scored by HpwlState::probe_nets_batch — in O(1) from the
+  /// committed runner-ups when one moved cell touches the net and stays in
+  /// its row, from the pins otherwise; per-candidate net changes are replayed
   /// against scratch path sums in one peek_delta_batch call, and a single
   /// FuzzyGoals OWA pass converts all N objective tuples to costs.
   /// Candidates are scored against the same committed state, so the batch
@@ -120,8 +123,9 @@ class Evaluator {
   /// preceding probe_batch()/probe_swap() — into the committed state and
   /// returns the new scalar cost. The resulting state is bit-identical to
   /// apply_swap() of the probed pair, but costs only the geometry swap plus
-  /// scratch promotion — no second incremental pass. Invalid after any
-  /// intervening apply_swap()/reset_placement().
+  /// installing the probe's kept net states (boxes and runner-ups) — no
+  /// second incremental pass. Invalid after any intervening
+  /// apply_swap()/reset_placement().
   double commit_probe();
 
   /// Commits the winning swap of a trial loop: promotes the pending probe
@@ -201,11 +205,11 @@ class Evaluator {
   std::vector<double> shadow_x_;
   std::vector<double> shadow_y_;
   // Pending probe — the last candidate of the last probe_batch: the pair,
-  // its new boxes (index-aligned with marker_.nets()), its weighted HPWL
-  // delta, and whether the scratch (box_scratch_, moved_scratch_, marker_
-  // nets, the timer's peek sums) still describes it. Cleared by any
-  // committed mutation.
-  std::vector<placement::NetBox> box_scratch_;
+  // the new state of its touched nets (index-aligned with marker_.nets()),
+  // its weighted HPWL delta, and whether the scratch (probed_,
+  // moved_scratch_, marker_ nets, the timer's peek sums) still describes
+  // it. Cleared by any committed mutation.
+  placement::ProbedNets probed_;
   netlist::CellId probe_a_ = netlist::kNoCell;
   netlist::CellId probe_b_ = netlist::kNoCell;
   double probe_delta_ = 0.0;

@@ -19,6 +19,7 @@ void Topology::build(const Netlist& netlist) {
   net_pins_.clear();
   net_pins_.reserve(pin_offsets_.back());
   net_weight_.resize(n_nets);
+  net_repeats_cell_.assign(n_nets, 0);
   for (NetId nid = 0; nid < n_nets; ++nid) {
     const Net& n = netlist.net(nid);
     net_pins_.push_back(n.driver);
@@ -44,6 +45,8 @@ void Topology::build(const Netlist& netlist) {
       const auto first = cell_nets_.begin() + static_cast<std::ptrdiff_t>(begin);
       if (std::find(first, cell_nets_.end(), nid) == cell_nets_.end()) {
         cell_nets_.push_back(nid);
+      } else {
+        net_repeats_cell_[nid] = 1;  // this cell sinks nid on two inputs
       }
     }
     cell_net_offsets_[id + 1] = static_cast<std::uint32_t>(cell_nets_.size());

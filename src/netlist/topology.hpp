@@ -16,6 +16,8 @@
 //                             input nets deduplicated in first-seen order
 //                             (identical to the old Netlist::nets_of)
 //   net_weight                per-net weight (SoA copy of Net::weight)
+//   net_repeats_cell          per-net flag: some cell is listed twice
+//                             (a gate sinking the net on two inputs)
 //   cell_width / cell_intrinsic_delay / cell_load_factor / cell_movable
 //                             SoA copies of the Cell fields hot loops read
 //
@@ -71,6 +73,11 @@ class Topology {
     PTS_DCHECK(net < net_weight_.size());
     return net_weight_[net];
   }
+  /// True when some cell appears more than once in pins(net).
+  bool net_repeats_cell(NetId net) const {
+    PTS_DCHECK(net < net_repeats_cell_.size());
+    return net_repeats_cell_[net] != 0;
+  }
   /// Cell width as a double (the form every geometry computation uses).
   double cell_width(CellId cell) const {
     PTS_DCHECK(cell < cell_width_.size());
@@ -98,6 +105,7 @@ class Topology {
   std::vector<std::uint32_t> cell_net_offsets_;  // num_cells + 1
   std::vector<NetId> cell_nets_;                 // deduplicated incident nets
   std::vector<double> net_weight_;
+  std::vector<std::uint8_t> net_repeats_cell_;
   std::vector<double> cell_width_;
   std::vector<double> cell_intrinsic_delay_;
   std::vector<double> cell_load_factor_;

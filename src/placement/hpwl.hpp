@@ -1,25 +1,30 @@
 // Incremental half-perimeter wirelength (HPWL).
 //
 // Maintains one bounding box per net over the pin positions (pads included)
-// of the current placement, and the weighted sum of half-perimeters. After a
-// swap, only the nets incident to moved cells change; update_nets()
-// recomputes those boxes from scratch (net degrees are small) and adjusts
-// the running total. Because box recomputation is stateless, re-applying a
-// swap and updating the same nets restores the previous values exactly up
-// to floating-point summation order in the running total; callers that
-// perform long update sequences (the cost Evaluator) rebuild() periodically
-// to cap drift.
+// of the current placement, and the weighted sum of half-perimeters. Next to
+// each box it keeps the net's x runner-ups (XRunnerUps): for the min-x and
+// max-x edge, the second extreme x and a bound on the third, so a probe
+// that moves one cell of a net along its row scores that net in O(1)
+// instead of re-reading every pin (DESIGN.md §9).
 //
-// Trial moves use the probe/commit pair instead (DESIGN.md §3):
-// probe_nets_batch() recomputes the same boxes against caller-staged shadow
-// position arrays and returns the weighted delta without touching the
-// committed state, optionally keeping the new boxes in caller scratch;
-// commit_probe() promotes that scratch wholesale. The delta is accumulated
-// in the exact summation order update_nets() would use, so
+// Trial moves use the probe/commit pair (DESIGN.md §3): probe_nets_batch()
+// scores the touched nets against caller-staged shadow position arrays and
+// returns the weighted delta without touching the committed state,
+// optionally keeping each net's new box and advanced runner-ups in caller
+// scratch; commit_probe() installs them. The delta is accumulated in the
+// exact summation order update_nets() would use, so
 // `total() + probe_nets_batch(...)` is bit-identical to the total() after
 // update_nets() on the same nets against the same committed state.
+//
+// update_nets() is the reference committed path: it recomputes boxes and
+// runner-ups of the given nets from their pins. Because recomputation is
+// stateless, re-applying a swap restores every box exactly; the running
+// total drifts only by floating-point summation order, so long update
+// sequences (the cost Evaluator) rebuild() periodically to cap it.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -34,6 +39,58 @@ struct NetBox {
   double half_perimeter() const { return (max_x - min_x) + (max_y - min_y); }
 };
 
+/// The x runner-ups of one net, over its distinct cells (a cell listed
+/// twice counts once). Per x edge: the runner-up — the second extreme x,
+/// which is the extreme over every cell but one on the edge (equal to the
+/// edge when two cells tie on it; +/-inf when the net has one cell) — and a
+/// bound at or beyond the third extreme (+/-inf when there is none). The
+/// bound is exact when folded from the pins and may only fall behind the
+/// true third extreme as moves are committed; it is what lets a runner-up
+/// move inward without a rescan.
+struct XRunnerUps {
+  double min_next = 0.0;
+  double max_next = 0.0;
+  double min_bound = 0.0;
+  double max_bound = 0.0;
+};
+
+/// Committed state of one net: its box and x runner-ups, one cache line,
+/// so the O(1) probe path loads a single line per touched net.
+struct alignas(64) NetState {
+  NetBox box;
+  XRunnerUps x;
+};
+static_assert(sizeof(NetState) == 64);
+
+/// Allocator for NetState arrays: 64-byte aligned blocks carved from plain
+/// operator new. std::allocator routes an over-aligned type to the aligned
+/// operator new, which glibc serves with fresh pages on every call (about
+/// 2 ms of page faults per 50k nets, measured); a plain block is reused
+/// from the heap, so building an Evaluator stays cheap.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+
+  T* allocate(std::size_t n) {
+    void* raw = ::operator new(n * sizeof(T) + 64);
+    const auto line = (reinterpret_cast<std::uintptr_t>(raw) + 64) &
+                      ~std::uintptr_t{63};
+    reinterpret_cast<void**>(line)[-1] = raw;  // at least 16 bytes free
+    return reinterpret_cast<T*>(line);
+  }
+  void deallocate(T* p, std::size_t) {
+    ::operator delete(reinterpret_cast<void**>(p)[-1]);
+  }
+  friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) {
+    return true;
+  }
+};
+
+using NetStates = std::vector<NetState, CacheLineAllocator<NetState>>;
+
 /// Per-net HPWL change reported by update_nets, consumed by the incremental
 /// path timer.
 struct NetChange {
@@ -41,6 +98,108 @@ struct NetChange {
   double old_hpwl;
   double new_hpwl;
 };
+
+/// The pending half of a probe: the new state of every touched net,
+/// index-aligned with the marker's nets (the vector only grows, so entries
+/// past the net count are stale), ready for HpwlState::commit_probe, and
+/// how many of those states were folded from pins instead of advanced in
+/// O(1) from the committed runner-ups.
+struct ProbedNets {
+  NetStates states;
+  std::uint64_t rescanned = 0;
+};
+
+/// The cells a candidate swap moves to another row: a and b of a cross-row
+/// swap, kNoCell otherwise. Their nets change y, which the runner-ups do
+/// not track, so the probe kernel recomputes those nets from their pins.
+struct RowMovers {
+  netlist::CellId a = netlist::kNoCell;
+  netlist::CellId b = netlist::kNoCell;
+};
+
+/// Epoch-stamped net deduplicator: collects the union of nets incident to a
+/// set of moved cells without clearing an O(nets) array per swap. For each
+/// collected net it also records the first added cell incident to it and
+/// how many added cells are — the probe kernel's O(1) path applies to nets
+/// touched by exactly one moved cell.
+class NetMarker {
+ public:
+  // The union can never exceed the net count; sizing the entries up front
+  // (plus one spare: add_nets_of() writes the next entry unconditionally)
+  // keeps collection allocation-free from the first swap on.
+  explicit NetMarker(std::size_t num_nets)
+      : marks_(num_nets),
+        nets_(std::make_unique_for_overwrite<netlist::NetId[]>(num_nets + 1)),
+        first_(std::make_unique_for_overwrite<netlist::CellId[]>(num_nets + 1)),
+        count_(std::make_unique<std::uint32_t[]>(num_nets + 1)) {}
+
+  /// Begins a new collection round; previously collected nets are forgotten.
+  void begin() {
+    if (++epoch_ == 0) {  // wrapped: no stale mark may match the new epoch
+      for (Mark& m : marks_) m.epoch = 0;
+      epoch_ = 1;
+    }
+    size_ = 0;
+  }
+
+  void add_nets_of(const netlist::Topology& topology, netlist::CellId cell) {
+    // Locals, not members: a store into the entry arrays could otherwise
+    // alias size_ and force a reload per net.
+    Mark* marks = marks_.data();
+    netlist::NetId* nets = nets_.get();
+    netlist::CellId* first = first_.get();
+    std::uint32_t* count = count_.get();
+    const std::uint32_t epoch = epoch_;
+    std::uint32_t size = size_;
+    for (netlist::NetId net : topology.nets_of(cell)) {
+      PTS_DCHECK(net < marks_.size());
+      // Write the next entry whether or not the net is new, and advance
+      // only for a new one: no branch on the loaded mark.
+      Mark& mark = marks[net];
+      const bool fresh = mark.epoch != epoch;
+      const std::uint32_t index = fresh ? size : mark.index;
+      nets[size] = net;
+      first[size] = cell;
+      count[index] = fresh ? 1u : count[index] + 1u;
+      size += fresh ? 1u : 0u;
+      mark = {epoch, index};
+    }
+    size_ = size;
+  }
+  void add_nets_of(const netlist::Netlist& netlist, netlist::CellId cell) {
+    add_nets_of(netlist.topology(), cell);
+  }
+
+  /// Collected nets, in first-touch order.
+  std::span<const netlist::NetId> nets() const { return {nets_.get(), size_}; }
+  /// Index-aligned with nets(): the first added cell incident to each net.
+  std::span<const netlist::CellId> first_cells() const {
+    return {first_.get(), size_};
+  }
+  /// Index-aligned with nets(): how many added cells are incident to it.
+  std::span<const std::uint32_t> cell_counts() const {
+    return {count_.get(), size_};
+  }
+
+ private:
+  struct Mark {
+    std::uint32_t epoch = 0;
+    std::uint32_t index = 0;  // position in nets_ during that epoch
+  };
+  std::vector<Mark> marks_;
+  std::uint32_t epoch_ = 0;
+  std::uint32_t size_ = 0;
+  std::unique_ptr<netlist::NetId[]> nets_;
+  std::unique_ptr<netlist::CellId[]> first_;
+  std::unique_ptr<std::uint32_t[]> count_;
+};
+
+/// Bounding box of `net` over the current pin positions of `placement`.
+NetBox compute_net_box(const Placement& placement, netlist::NetId net);
+
+/// Weighted total HPWL of `placement`, summed in net order — exactly the
+/// value HpwlState::rebuild() arrives at, without building any state.
+double total_hpwl(const Placement& placement);
 
 class HpwlState {
  public:
@@ -50,45 +209,51 @@ class HpwlState {
   double total() const { return total_; }
 
   double net_hpwl(netlist::NetId net) const {
-    PTS_DCHECK(net < boxes_.size());
-    return boxes_[net].half_perimeter();
+    PTS_DCHECK(net < states_.size());
+    return states_[net].box.half_perimeter();
   }
   const NetBox& net_box(netlist::NetId net) const {
-    PTS_DCHECK(net < boxes_.size());
-    return boxes_[net];
+    PTS_DCHECK(net < states_.size());
+    return states_[net].box;
   }
 
-  /// Recomputes the boxes of `nets` against the current placement geometry
-  /// and returns the change in weighted total. `nets` must be duplicate-free
-  /// (use NetMarker to deduplicate the union of incident nets). If `changes`
-  /// is non-null, appends one NetChange per net whose half-perimeter moved.
+  /// Recomputes the boxes and runner-ups of `nets` against the current
+  /// placement geometry and returns the change in weighted total. `nets`
+  /// must be duplicate-free (use NetMarker to deduplicate the union of
+  /// incident nets). If `changes` is non-null, appends one NetChange per
+  /// net whose half-perimeter moved.
   double update_nets(std::span<const netlist::NetId> nets,
                      std::vector<NetChange>* changes = nullptr);
 
-  /// Probe counterpart of update_nets(): recomputes the boxes of `nets`
-  /// against caller-supplied per-cell position arrays (a shadow copy of the
-  /// committed SoA positions with the candidate's moved cells overwritten
-  /// via overlaid_position()) and returns the change in weighted total
-  /// against the committed boxes, without touching committed state.
+  /// Probe counterpart of update_nets(): scores the nets `marked` collected
+  /// for a candidate's moved cells against caller-supplied per-cell
+  /// position arrays (a shadow copy of the committed SoA positions with the
+  /// moved cells overwritten via overlaid_position()) and returns the
+  /// change in weighted total, without touching committed state. A net
+  /// touched by one moved cell that stays in its row is scored in O(1) from
+  /// its committed box and runner-ups; nets touched by several moved cells
+  /// or by a row mover are recomputed from their pins. Both give the exact
+  /// min/max the pins would, so the result does not depend on the path.
   /// Appends the same NetChanges update_nets() would report after a real
-  /// swap. The inner loops are branch-free (plain-load min/max box fold,
-  /// cursor-style change emission), and the per-net visit order and delta
-  /// summation order are exactly update_nets()'s, which keeps every
-  /// returned delta bit-identical to the committed path (pinned by
-  /// tests/property_test.cpp). When `boxes` is non-null it is resized to
-  /// nets.size() and receives the new boxes index-aligned with `nets` (no
-  /// allocation once capacity is reached), ready for commit_probe().
+  /// swap, and visits nets and sums the delta in update_nets()'s order,
+  /// which keeps every returned delta bit-identical to the committed path
+  /// (pinned by tests/property_test.cpp). When `keep` is non-null it
+  /// receives the new state of every touched net, index-aligned with
+  /// marked.nets() (no allocation once capacity is reached): the box, and
+  /// the runner-ups advanced past the one moved cell in O(1) — or, for the
+  /// nets folded from their pins and the rare net whose new runner-up the
+  /// record cannot tell, folded from the pins. commit_probe() installs it.
   double probe_nets_batch(std::span<const double> xs,
-                          std::span<const double> ys,
-                          std::span<const netlist::NetId> nets,
-                          std::vector<NetChange>* changes,
-                          std::vector<NetBox>* boxes = nullptr) const;
+                          std::span<const double> ys, const NetMarker& marked,
+                          RowMovers movers, std::vector<NetChange>* changes,
+                          ProbedNets* keep = nullptr) const;
 
-  /// Promotes a preceding probe_nets_batch() over the same `nets`:
-  /// installs its boxes and folds `delta` into the total, producing state
-  /// bit-identical to what update_nets(nets) would have produced.
+  /// Promotes a preceding probe_nets_batch() over the same `nets` that kept
+  /// `probed`: installs every net's new state and folds `delta` into the
+  /// total. The result is the state update_nets() would produce, up to how
+  /// far a bound trails the third extreme.
   void commit_probe(std::span<const netlist::NetId> nets,
-                    const std::vector<NetBox>& boxes, double delta);
+                    const ProbedNets& probed, double delta);
 
   /// Full recomputation from the placement.
   void rebuild();
@@ -103,50 +268,32 @@ class HpwlState {
   /// From-scratch total for verification; does not modify state.
   double compute_fresh_total() const;
 
+  /// Test hook: PTS_CHECKs every net against its pins in the current
+  /// placement — the box is exact, each runner-up equals the extreme over
+  /// every cell but one on its edge, and each bound is at or beyond the
+  /// third extreme. O(pins).
+  void check_consistent() const;
+
+  /// Nets commit_probe() has installed, and how many of their states were
+  /// recomputed from pins instead of advanced in O(1) (integer counters).
+  std::uint64_t committed_nets() const { return committed_nets_; }
+  std::uint64_t rescanned_nets() const { return rescanned_nets_; }
+
  private:
-  NetBox compute_box(netlist::NetId net) const;
+  NetState fold_net(netlist::NetId net, const double* X,
+                    const double* Y) const;
+  NetState compute_state(netlist::NetId net) const;
+  template <bool kKeep>
+  double probe_nets(const double* X, const double* Y, const NetMarker& marked,
+                    RowMovers movers, std::vector<NetChange>* changes,
+                    ProbedNets* keep) const;
 
   const Placement* placement_;
   const netlist::Topology* topology_;  // CSR pin lists + SoA net weights
-  std::vector<NetBox> boxes_;
+  NetStates states_;
   double total_ = 0.0;
-};
-
-/// Epoch-stamped net deduplicator: collects the union of nets incident to a
-/// set of moved cells without clearing an O(nets) array per swap.
-class NetMarker {
- public:
-  explicit NetMarker(std::size_t num_nets) : stamp_(num_nets, 0) {
-    // The union can never exceed the net count; reserving up front keeps
-    // collection allocation-free from the first swap on.
-    nets_.reserve(num_nets);
-  }
-
-  /// Begins a new collection round; previously collected nets are forgotten.
-  void begin() {
-    ++epoch_;
-    nets_.clear();
-  }
-
-  void add_nets_of(const netlist::Topology& topology, netlist::CellId cell) {
-    for (netlist::NetId net : topology.nets_of(cell)) {
-      PTS_DCHECK(net < stamp_.size());
-      if (stamp_[net] != epoch_) {
-        stamp_[net] = epoch_;
-        nets_.push_back(net);
-      }
-    }
-  }
-  void add_nets_of(const netlist::Netlist& netlist, netlist::CellId cell) {
-    add_nets_of(netlist.topology(), cell);
-  }
-
-  std::span<const netlist::NetId> nets() const { return nets_; }
-
- private:
-  std::vector<std::uint64_t> stamp_;
-  std::uint64_t epoch_ = 0;
-  std::vector<netlist::NetId> nets_;
+  std::uint64_t committed_nets_ = 0;
+  std::uint64_t rescanned_nets_ = 0;
 };
 
 }  // namespace pts::placement

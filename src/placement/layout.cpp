@@ -50,6 +50,9 @@ Layout::Layout(const netlist::Netlist& netlist, std::size_t num_rows,
       pad_positions_[id] =
           Point{nominal_width_ + pad_margin, spread(po_seen++, num_po)};
     }
+    PTS_CHECK_MSG(exact_coordinate(pad_positions_[id].x) &&
+                      exact_coordinate(pad_positions_[id].y),
+                  "pad position must be finite and not -0.0");
   }
 }
 

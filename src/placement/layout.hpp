@@ -7,6 +7,7 @@
 // outputs on the right edge, evenly spread vertically.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 #include "netlist/netlist.hpp"
@@ -17,6 +18,14 @@ struct Point {
   double x = 0.0;
   double y = 0.0;
 };
+
+/// True for a coordinate the exact-geometry argument admits: finite and not
+/// -0.0. Min and max over such values pick one double whatever the order,
+/// which HpwlState's O(1) probe path relies on to stay bit-identical to a
+/// fold over the pins (DESIGN.md §9).
+inline bool exact_coordinate(double v) {
+  return std::isfinite(v) && !(v == 0.0 && std::signbit(v));
+}
 
 using SlotId = std::uint32_t;
 inline constexpr SlotId kNoSlot = static_cast<SlotId>(-1);

@@ -17,6 +17,14 @@ Placement::Placement(const netlist::Netlist& netlist, const Layout& layout)
   pos_y_.assign(netlist.num_cells(), 0.0);
   row_extent_.assign(layout.num_rows(), 0.0);
 
+  // Every x is a row origin (0.0) plus integer widths and halves, every y a
+  // row's center line: the exact-geometry argument (DESIGN.md §9) needs the
+  // row origins finite and not -0.0.
+  for (std::size_t row = 0; row < layout.num_rows(); ++row) {
+    PTS_CHECK_MSG(exact_coordinate(layout.row_y(row)),
+                  "row origin must be finite and not -0.0");
+  }
+
   // Pad positions never change; fix them once so position() is a plain
   // two-array load for every cell kind.
   for (const CellId pad : netlist.pad_cells()) {

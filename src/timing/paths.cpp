@@ -10,6 +10,43 @@ using netlist::CellId;
 using netlist::CellKind;
 using netlist::NetId;
 
+namespace {
+
+// Per-path sum of net half-perimeters, in path-net order.
+template <class NetHpwl>
+void sum_path_wires(const PathSet& paths, NetHpwl net_hpwl,
+                    std::vector<double>* sums) {
+  sums->assign(paths.size(), 0.0);
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    for (NetId net : paths.path(p).nets) (*sums)[p] += net_hpwl(net);
+  }
+}
+
+double max_path_delay(std::span<const double> const_delay,
+                      std::span<const double> wire_sums,
+                      const DelayModel& model) {
+  double best = 0.0;
+  for (std::size_t p = 0; p < wire_sums.size(); ++p) {
+    best = std::max(best, const_delay[p] + model.wire_delay(wire_sums[p]));
+  }
+  return best;
+}
+
+}  // namespace
+
+double fresh_max_delay(const PathSet& paths,
+                       const placement::Placement& placement,
+                       const DelayModel& model) {
+  std::vector<double> sums;
+  sum_path_wires(
+      paths,
+      [&](NetId net) {
+        return placement::compute_net_box(placement, net).half_perimeter();
+      },
+      &sums);
+  return max_path_delay(paths.const_delays(), sums, model);
+}
+
 PathSet::PathSet(const netlist::Netlist& netlist, std::vector<TimingPath> paths)
     : paths_(std::move(paths)) {
   const std::size_t num_nets = netlist.num_nets();
@@ -121,12 +158,6 @@ PathTimer::PathTimer(std::shared_ptr<const PathSet> paths,
   rebuild(hpwl);
 }
 
-PathTimer::PathTimer(const PathSet& paths, const placement::HpwlState& hpwl,
-                     DelayModel model)
-    // Aliasing constructor with an empty owner: non-owning by construction.
-    : PathTimer(std::shared_ptr<const PathSet>(std::shared_ptr<void>(), &paths),
-                hpwl, model) {}
-
 void PathTimer::apply_net_change(NetId net, double old_hpwl, double new_hpwl) {
   for (std::uint32_t p : paths_->paths_of_net(net)) {
     wire_sum_[p] += new_hpwl - old_hpwl;
@@ -140,12 +171,8 @@ double PathTimer::peek_delta(std::span<const placement::NetChange> changes) {
       peek_sum_[p] += change.new_hpwl - change.old_hpwl;
     }
   }
-  // Same reduction as max_delay()/path_delay(), against the scratch sums.
-  double best = 0.0;
-  for (std::size_t p = 0; p < peek_sum_.size(); ++p) {
-    best = std::max(best, const_delay_[p] + model_.wire_delay(peek_sum_[p]));
-  }
-  return best;
+  // Same reduction as max_delay(), against the scratch sums.
+  return max_path_delay(const_delay_, peek_sum_, model_);
 }
 
 void PathTimer::peek_delta_batch(
@@ -163,20 +190,12 @@ void PathTimer::peek_delta_batch(
 void PathTimer::commit_peek() { wire_sum_.swap(peek_sum_); }
 
 void PathTimer::rebuild(const placement::HpwlState& hpwl) {
-  wire_sum_.assign(paths_->size(), 0.0);
-  for (std::size_t p = 0; p < paths_->size(); ++p) {
-    for (NetId net : paths_->path(p).nets) {
-      wire_sum_[p] += hpwl.net_hpwl(net);
-    }
-  }
+  sum_path_wires(
+      *paths_, [&](NetId net) { return hpwl.net_hpwl(net); }, &wire_sum_);
 }
 
 double PathTimer::max_delay() const {
-  double best = 0.0;
-  for (std::size_t p = 0; p < wire_sum_.size(); ++p) {
-    best = std::max(best, path_delay(p));
-  }
-  return best;
+  return max_path_delay(const_delay_, wire_sum_, model_);
 }
 
 }  // namespace pts::timing

@@ -91,20 +91,18 @@ std::shared_ptr<const PathSet> extract_critical_paths(
 /// wire sums) can be checked against it.
 std::size_t critical_path_count(const netlist::Netlist& netlist, std::size_t k);
 
+/// The max_delay() a PathTimer built over `placement` would report, computed
+/// from the pin positions without building an HpwlState (same per-path
+/// summation order, same reduction — bit-identical).
+double fresh_max_delay(const PathSet& paths,
+                       const placement::Placement& placement,
+                       const DelayModel& model);
+
 /// Incrementally maintained per-path wire lengths and the resulting delay
 /// estimate. One instance per worker (cheap: O(K) doubles).
 class PathTimer {
  public:
   PathTimer(std::shared_ptr<const PathSet> paths, const placement::HpwlState& hpwl,
-            DelayModel model);
-
-  /// Non-owning overload: the caller guarantees `paths` outlives this timer
-  /// (e.g. the goal-calibration timer in Evaluator, whose PathSet member
-  /// outlives the temporary). Implemented with the shared_ptr aliasing
-  /// constructor — an empty control block, no refcount, no deleter — so the
-  /// lifetime contract is explicit in the signature instead of hidden in a
-  /// no-op custom deleter at the call site.
-  PathTimer(const PathSet& paths, const placement::HpwlState& hpwl,
             DelayModel model);
 
   /// Folds one net's HPWL change into the affected path wire sums.

@@ -2,6 +2,7 @@
 // permutation invariants, swap involution, incremental HPWL.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -88,6 +89,45 @@ TEST(LayoutDeath, PadPositionOfGateFails) {
   const Netlist nl = small_circuit();
   const Layout layout(nl);
   EXPECT_DEATH(layout.pad_position(nl.movable_cells()[0]), "pad_position");
+}
+
+// The O(1) probe path is bit-identical to a pin fold only over finite
+// coordinates that are never -0.0 (DESIGN.md §9).
+TEST(Layout, ExactCoordinatePredicate) {
+  EXPECT_TRUE(placement::exact_coordinate(0.0));
+  EXPECT_TRUE(placement::exact_coordinate(0.5));
+  EXPECT_TRUE(placement::exact_coordinate(-2.0));
+  EXPECT_FALSE(placement::exact_coordinate(-0.0));
+  EXPECT_FALSE(placement::exact_coordinate(INFINITY));
+  EXPECT_FALSE(placement::exact_coordinate(-INFINITY));
+  EXPECT_FALSE(placement::exact_coordinate(NAN));
+}
+
+TEST(LayoutDeath, NonFinitePadPositionFails) {
+  const Netlist nl = small_circuit();
+  // An infinite row height passes the positivity check but spreads the pads
+  // to infinity.
+  EXPECT_DEATH(Layout(nl, 0, INFINITY), "pad position must be finite");
+}
+
+// Placement checks every row origin it lays cells from. A Layout cannot
+// produce a bad one without its own pad check firing first (pads spread
+// over the whole core height), so this pins the accepted side: every
+// coordinate a placement holds passes the predicate.
+TEST(Placement, RowOriginsAndPositionsAreExactCoordinates) {
+  const Netlist nl = small_circuit(120, 5);
+  for (double row_height : {1.0, 0.75, 1e-300, 1e300}) {
+    const Layout layout(nl, 0, row_height);
+    Rng rng(11);
+    const Placement p = Placement::random(nl, layout, rng);
+    for (std::size_t row = 0; row < layout.num_rows(); ++row) {
+      EXPECT_TRUE(placement::exact_coordinate(layout.row_y(row)));
+    }
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+      EXPECT_TRUE(placement::exact_coordinate(p.position(c).x));
+      EXPECT_TRUE(placement::exact_coordinate(p.position(c).y));
+    }
+  }
 }
 
 TEST(Placement, IdentityIsConsistent) {
@@ -326,8 +366,34 @@ TEST(NetMarkerTest, DeduplicatesAcrossCells) {
   EXPECT_EQ(unique.size(), marker.nets().size());
   EXPECT_EQ(unique.size(), nl.nets_of(a).size());
 
+  // Each net records its first added cell and how many added cells touch
+  // it: a's nets were all added twice by the same cell.
+  for (std::size_t k = 0; k < marker.nets().size(); ++k) {
+    EXPECT_EQ(marker.first_cells()[k], a);
+    EXPECT_EQ(marker.cell_counts()[k], 2u);
+  }
+
   marker.begin();  // new epoch forgets everything
   EXPECT_TRUE(marker.nets().empty());
+
+  // The driver of a's output net and one of its sinks share that net.
+  const netlist::NetId out = nl.cell(a).out_net;
+  const CellId sink = nl.net(out).sinks.front();
+  marker.add_nets_of(nl, sink);
+  marker.add_nets_of(nl, a);
+  const auto nets = marker.nets();
+  const auto at = std::find(nets.begin(), nets.end(), out) - nets.begin();
+  ASSERT_LT(static_cast<std::size_t>(at), nets.size());
+  EXPECT_EQ(marker.first_cells()[static_cast<std::size_t>(at)], sink);
+  EXPECT_EQ(marker.cell_counts()[static_cast<std::size_t>(at)], 2u);
+  const auto touches = [&](CellId cell, netlist::NetId net) {
+    const auto of = nl.nets_of(cell);
+    return std::find(of.begin(), of.end(), net) != of.end() ? 1u : 0u;
+  };
+  for (std::size_t k = 0; k < nets.size(); ++k) {
+    EXPECT_EQ(marker.cell_counts()[k],
+              touches(sink, nets[k]) + touches(a, nets[k]));
+  }
 }
 
 TEST(Svg, RenderProducesWellFormedDocument) {

@@ -21,6 +21,13 @@
 //     applied as an earlier one — keeps lockstep with an apply-only twin,
 //     also when the pending candidate is the winner's reversed duplicate.
 //  6. Checkpoint/resume equals the uninterrupted run.
+//  7. The runner-up probe kernel: probe_nets_batch + commit_probe (x
+//     runner-ups advanced incrementally) stays in lockstep with
+//     update_nets (everything recomputed), on the fuzz circuits and on a
+//     hand-built circuit forcing ties, repeated pins, pads on the edges,
+//     shared and multi-moved nets, same- and cross-row swaps; and
+//     HpwlState::check_consistent() holds after every Evaluator path that
+//     commits or rebuilds.
 //
 // Everything is exact-equality where the probe/commit contract promises
 // bit-identity; the only tolerance is incremental-vs-fresh HPWL *drift*,
@@ -214,7 +221,7 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
     const auto paths = timing::extract_critical_paths(nl, 24, model);
     timing::PathTimer timer(paths, hpwl, model);
     placement::NetMarker marker(nl.num_nets());
-    std::vector<placement::NetBox> boxes;
+    placement::ProbedNets probed;
     std::vector<placement::NetChange> probe_changes;
     std::vector<placement::NetChange> apply_changes;
     std::vector<CellId> overlay_moved;
@@ -245,9 +252,11 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
         placement::overlaid_position(ov, cell, px[cell], py[cell], &xs[cell],
                                      &ys[cell]);
       }
+      const placement::RowMovers movers =
+          py[a] != py[b] ? placement::RowMovers{a, b} : placement::RowMovers{};
       probe_changes.clear();
       const double probed_delta = hpwl.probe_nets_batch(
-          xs, ys, marker.nets(), &probe_changes, &boxes);
+          xs, ys, marker, movers, &probe_changes, &probed);
       const double peeked = timer.peek_delta(probe_changes);
 
       // Commit the real swap over the same nets; the probe's delta, per-net
@@ -269,13 +278,14 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
         ASSERT_EQ(probe_changes[c].old_hpwl, apply_changes[c].old_hpwl);
         ASSERT_EQ(probe_changes[c].new_hpwl, apply_changes[c].new_hpwl);
       }
-      ASSERT_EQ(boxes.size(), marker.nets().size()) << "swap " << i;
-      for (std::size_t k = 0; k < boxes.size(); ++k) {
+      ASSERT_GE(probed.states.size(), marker.nets().size()) << "swap " << i;
+      for (std::size_t k = 0; k < marker.nets().size(); ++k) {
+        const placement::NetBox& box = probed.states[k].box;
         const placement::NetBox& committed = hpwl.net_box(marker.nets()[k]);
-        ASSERT_EQ(boxes[k].min_x, committed.min_x) << "swap " << i;
-        ASSERT_EQ(boxes[k].max_x, committed.max_x) << "swap " << i;
-        ASSERT_EQ(boxes[k].min_y, committed.min_y) << "swap " << i;
-        ASSERT_EQ(boxes[k].max_y, committed.max_y) << "swap " << i;
+        ASSERT_EQ(box.min_x, committed.min_x) << "swap " << i;
+        ASSERT_EQ(box.max_x, committed.max_x) << "swap " << i;
+        ASSERT_EQ(box.min_y, committed.min_y) << "swap " << i;
+        ASSERT_EQ(box.max_y, committed.max_y) << "swap " << i;
       }
       ASSERT_EQ(peeked, timer.max_delay()) << "swap " << i;
     }
@@ -495,6 +505,281 @@ TEST(PropertyFuzz, ReversedDuplicateWinnerIsAppliedNotPromoted) {
   EXPECT_GT(order_sensitive, 0u)
       << "no pair whose orientation changes the path sums: the case above "
          "went untested";
+}
+
+// -- property 7: the runner-up kernel == update_nets, in lockstep ----------
+
+/// What a lockstep walk met, so the forced cases can be asserted.
+struct WalkCoverage {
+  std::size_t same_row = 0;
+  std::size_t cross_row = 0;
+  std::size_t shared_net = 0;   ///< swaps where a and b touch one net
+  std::size_t multi_moved = 0;  ///< nets touched by two or more moved cells
+  std::size_t edge_ties = 0;    ///< probed nets with two cells on an x edge
+  std::uint64_t committed = 0;  ///< nets commit_probe installed
+  std::uint64_t rescanned = 0;  ///< ... and recomputed from their pins
+};
+
+/// Two HpwlStates over identical placements: `kernel` scores every swap
+/// with probe_nets_batch and commits it with commit_probe (runner-ups
+/// advanced incrementally); `reference` commits the same swap with
+/// update_nets (everything recomputed from the pins). Every delta, change,
+/// box and total must agree bit for bit, and both states must pass
+/// check_consistent() after every swap.
+WalkCoverage lockstep_walk(
+    const Netlist& nl, const placement::Layout& layout, std::uint64_t seed,
+    const std::vector<std::pair<CellId, CellId>>& swaps) {
+  Rng init_rng(seed);
+  placement::Placement kernel_place =
+      placement::Placement::random(nl, layout, init_rng);
+  placement::Placement reference_place = kernel_place;
+  placement::HpwlState kernel(kernel_place);
+  placement::HpwlState reference(reference_place);
+  placement::NetMarker marker(nl.num_nets());
+  placement::ProbedNets probed;
+  std::vector<placement::NetChange> probe_changes;
+  std::vector<placement::NetChange> apply_changes;
+  std::vector<CellId> moved;
+  WalkCoverage cov;
+  const bool failed_before = testing::Test::HasFailure();
+
+  for (std::size_t i = 0; i < swaps.size(); ++i) {
+    const auto [a, b] = swaps[i];
+    const auto px = kernel_place.positions_x();
+    const auto py = kernel_place.positions_y();
+    std::vector<double> xs(px.begin(), px.end());
+    std::vector<double> ys(py.begin(), py.end());
+    moved.clear();
+    const placement::SwapOverlay ov =
+        placement::build_swap_overlay(kernel_place, a, b, &moved);
+    marker.begin();
+    for (CellId cell : moved) marker.add_nets_of(nl, cell);
+    for (CellId cell : moved) {
+      placement::overlaid_position(ov, cell, px[cell], py[cell], &xs[cell],
+                                   &ys[cell]);
+    }
+    const bool cross = py[a] != py[b];
+    (cross ? cov.cross_row : cov.same_row) += 1;
+    const placement::RowMovers movers =
+        cross ? placement::RowMovers{a, b} : placement::RowMovers{};
+    const auto nets = marker.nets();
+    bool shared = false;
+    for (std::size_t k = 0; k < nets.size(); ++k) {
+      cov.multi_moved += marker.cell_counts()[k] >= 2 ? 1 : 0;
+      const auto pins = nl.topology().pins(nets[k]);
+      const bool has_a = std::find(pins.begin(), pins.end(), a) != pins.end();
+      const bool has_b = std::find(pins.begin(), pins.end(), b) != pins.end();
+      shared = shared || (has_a && has_b);
+      const placement::NetBox& box = kernel.net_box(nets[k]);
+      std::vector<CellId> on_min, on_max;
+      for (CellId c : pins) {
+        if (px[c] == box.min_x && std::find(on_min.begin(), on_min.end(), c) ==
+                                      on_min.end()) {
+          on_min.push_back(c);
+        }
+        if (px[c] == box.max_x && std::find(on_max.begin(), on_max.end(), c) ==
+                                      on_max.end()) {
+          on_max.push_back(c);
+        }
+      }
+      cov.edge_ties += (on_min.size() >= 2 || on_max.size() >= 2) ? 1 : 0;
+    }
+    cov.shared_net += shared ? 1 : 0;
+
+    probe_changes.clear();
+    const double delta = kernel.probe_nets_batch(xs, ys, marker, movers,
+                                                 &probe_changes, &probed);
+    kernel_place.swap_cells(a, b);
+    kernel.commit_probe(nets, probed, delta);
+
+    reference_place.swap_cells(a, b);
+    apply_changes.clear();
+    const double applied = reference.update_nets(nets, &apply_changes);
+
+    EXPECT_EQ(delta, applied) << "swap " << i;
+    EXPECT_EQ(kernel.total(), reference.total()) << "swap " << i;
+    EXPECT_EQ(probe_changes.size(), apply_changes.size()) << "swap " << i;
+    for (std::size_t c = 0;
+         c < std::min(probe_changes.size(), apply_changes.size()); ++c) {
+      EXPECT_EQ(probe_changes[c].net, apply_changes[c].net);
+      EXPECT_EQ(probe_changes[c].old_hpwl, apply_changes[c].old_hpwl);
+      EXPECT_EQ(probe_changes[c].new_hpwl, apply_changes[c].new_hpwl);
+    }
+    for (std::size_t k = 0; k < nets.size(); ++k) {
+      const placement::NetBox& box = probed.states[k].box;
+      const placement::NetBox& want = reference.net_box(nets[k]);
+      EXPECT_EQ(box.min_x, want.min_x) << "swap " << i;
+      EXPECT_EQ(box.max_x, want.max_x) << "swap " << i;
+      EXPECT_EQ(box.min_y, want.min_y) << "swap " << i;
+      EXPECT_EQ(box.max_y, want.max_y) << "swap " << i;
+    }
+    kernel.check_consistent();
+    reference.check_consistent();
+    if (!failed_before && testing::Test::HasFailure()) break;
+  }
+  cov.committed = kernel.committed_nets();
+  cov.rescanned = kernel.rescanned_nets();
+  return cov;
+}
+
+TEST(PropertyFuzz, RunnerUpKernelMatchesUpdateNetsInLockstep) {
+  std::uint64_t committed = 0;
+  std::uint64_t rescanned = 0;
+  for (const GeneratorConfig& config : fuzz_configs()) {
+    SCOPED_TRACE(config.name + " gates=" + std::to_string(config.num_gates));
+    const Netlist nl = netlist::generate_circuit(config);
+    const placement::Layout layout(nl);
+    Rng rng(config.seed ^ 0x2A2AULL);
+    const auto& movable = nl.movable_cells();
+    std::vector<std::pair<CellId, CellId>> swaps;
+    for (int i = 0; i < 80; ++i) {
+      const auto [ia, ib] = rng.distinct_pair(movable.size());
+      swaps.emplace_back(movable[ia], movable[ib]);
+    }
+    const WalkCoverage cov =
+        lockstep_walk(nl, layout, config.seed ^ 0x3B3BULL, swaps);
+    committed += cov.committed;
+    rescanned += cov.rescanned;
+  }
+  // Most committed nets advance in O(1). A kernel that silently folded
+  // every pin would still be correct, so pin the split as well. (Circuits
+  // of one cell width swap only a and b, mostly across rows, and rescan
+  // all their nets by design; the mix keeps the total well under half.)
+  EXPECT_LT(rescanned * 2, committed);
+}
+
+// A hand-built two-row circuit that forces every case the runner-up
+// kernel distinguishes, walked over every pair of gates, several times:
+//   - g1 sinks the PI net twice and g9 sinks net n3 twice (a cell listed
+//     twice on one net);
+//   - PI pads hold every min-x edge they sit on, PO pads every max-x edge;
+//   - equal-width gates in the same column of the two rows share an x, so
+//     edges are often tied between two cells;
+//   - nets of two, three and five cells (the record's special cases);
+//   - pairs sharing a net, tails moving two cells of one net, and both
+//     same-row and cross-row swaps of equal and unequal widths.
+TEST(PropertyFuzz, RunnerUpKernelForcedCases) {
+  netlist::NetlistBuilder builder("runner_up_cases");
+  const CellId p0 = builder.add_primary_input("p0");
+  const CellId p1 = builder.add_primary_input("p1");
+  const char* names[10] = {"g0", "g1", "g2", "g3", "g4",
+                           "g5", "g6", "g7", "g8", "g9"};
+  const int widths[10] = {2, 2, 1, 3, 2, 1, 2, 3, 1, 2};
+  std::vector<CellId> g;
+  for (int i = 0; i < 10; ++i) {
+    g.push_back(builder.add_gate(names[i], widths[i], 1.0, 0.1));
+  }
+  const CellId o0 = builder.add_primary_output("o0");
+  const CellId o1 = builder.add_primary_output("o1");
+  const auto net = [&](const char* name, CellId driver,
+                       std::initializer_list<CellId> sinks) {
+    const NetId n = builder.add_net(name, driver);
+    for (CellId sink : sinks) builder.connect_input(n, sink);
+  };
+  net("np0", p0, {g[0], g[1], g[1]});
+  net("np1", p1, {g[2], g[5]});
+  net("n0", g[0], {g[3], g[4], g[6], g[7]});
+  net("n1", g[1], {g[3]});
+  net("n2", g[2], {g[4], g[8]});
+  net("n3", g[3], {g[5], g[9], g[9]});
+  net("n4", g[4], {g[6]});
+  net("n5", g[5], {g[7], g[8]});
+  net("n6", g[6], {o0});
+  net("n7", g[7], {g[9]});
+  net("n8", g[8], {g[9]});
+  net("n9", g[9], {o1});
+  const Netlist nl = std::move(builder).build();
+  const placement::Layout layout(nl, /*num_rows=*/2);
+  ASSERT_EQ(layout.num_rows(), 2u);
+
+  std::vector<std::pair<CellId, CellId>> swaps;
+  Rng rng(0x5EEDULL);
+  for (int round = 0; round < 12; ++round) {
+    std::vector<std::pair<CellId, CellId>> pairs;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      for (std::size_t j = i + 1; j < g.size(); ++j) {
+        pairs.emplace_back(g[i], g[j]);
+      }
+    }
+    rng.shuffle(pairs);
+    swaps.insert(swaps.end(), pairs.begin(), pairs.end());
+  }
+  const WalkCoverage cov = lockstep_walk(nl, layout, 0xCA5EULL, swaps);
+  EXPECT_GT(cov.same_row, 0u);
+  EXPECT_GT(cov.cross_row, 0u);
+  EXPECT_GT(cov.shared_net, 0u);
+  EXPECT_GT(cov.multi_moved, 0u);
+  EXPECT_GT(cov.edge_ties, 0u);
+  EXPECT_GT(cov.rescanned, 0u);
+  EXPECT_LT(cov.rescanned, cov.committed);
+}
+
+// check_consistent() after every Evaluator path that commits or rebuilds:
+// commit_probe, commit_swap's promotion and its apply_swap fallback,
+// apply_swap, reset_placement, restore_checkpoint, and the periodic
+// rebuild at rebuild_interval 1 and 3 (and the default, which never fires
+// here).
+TEST(PropertyFuzz, RunnerUpsConsistentAfterEveryCommitPath) {
+  const auto configs = fuzz_configs();
+  for (std::size_t interval : {std::size_t{1}, std::size_t{3},
+                               cost::CostParams{}.rebuild_interval}) {
+    for (int k = 0; k < 4; ++k) {
+      const GeneratorConfig& config = configs[static_cast<std::size_t>(k)];
+      SCOPED_TRACE(testing::Message()
+                   << config.name << " rebuild_interval=" << interval);
+      const Netlist nl = netlist::generate_circuit(config);
+      const placement::Layout layout(nl);
+      cost::CostParams params;
+      params.rebuild_interval = interval;
+      Rng init(config.seed ^ 0x4C4CULL);
+      auto p = placement::Placement::random(nl, layout, init);
+      const std::vector<CellId> other_slots =
+          placement::Placement::random(nl, layout, init).slots();
+      auto paths = timing::extract_critical_paths(nl, params.num_paths,
+                                                  params.delay_model);
+      const auto goals = cost::Evaluator::calibrate_goals(p, *paths, params);
+      cost::Evaluator eval(std::move(p), std::move(paths), params, goals);
+      eval.hpwl().check_consistent();
+
+      Rng rng(config.seed ^ 0x5D5DULL);
+      const auto& movable = nl.movable_cells();
+      const auto pair = [&] {
+        const auto [ia, ib] = rng.distinct_pair(movable.size());
+        return cost::Move{movable[ia], movable[ib]};
+      };
+      std::vector<double> costs(cost::kProbeBatchWidth);
+      for (int step = 0; step < 12; ++step) {
+        const cost::Move m1 = pair();
+        eval.probe_swap(m1.a, m1.b);
+        eval.commit_probe();
+        eval.hpwl().check_consistent();
+
+        std::vector<cost::Move> batch;
+        for (std::size_t w = 0; w < cost::kProbeBatchWidth; ++w) {
+          batch.push_back(pair());
+        }
+        eval.probe_batch(batch, costs);
+        eval.commit_swap(batch.back().b, batch.back().a);  // promotes
+        eval.hpwl().check_consistent();
+
+        eval.probe_batch(batch, costs);
+        const cost::Move m2 = batch.front();
+        if (!same_pair(m2, batch.back())) {
+          eval.commit_swap(m2.a, m2.b);  // falls back to apply_swap
+          eval.hpwl().check_consistent();
+        }
+
+        const cost::Move m3 = pair();
+        eval.apply_swap(m3.a, m3.b);
+        eval.hpwl().check_consistent();
+      }
+      const cost::Evaluator::CheckpointState st = eval.checkpoint();
+      eval.reset_placement(other_slots);
+      eval.hpwl().check_consistent();
+      eval.restore_checkpoint(st);
+      eval.hpwl().check_consistent();
+    }
+  }
 }
 
 // -- property 6: checkpoint/resume == uninterrupted, on random circuits ------
