@@ -106,6 +106,8 @@ struct ProbeProfile {
   double o1_share = 0.0;      ///< touched nets scored from the runner-ups
   double rescan_share = 0.0;  ///< committed nets recomputed from their pins
   // Mean ns per probe in each phase, and per probe of each width class.
+  // The overlay phase builds the moved list and the overlay and stamps the
+  // moved cells' would-be positions.
   double overlay_ns = 0.0;
   double marking_ns = 0.0;
   double box_ns = 0.0;
@@ -128,20 +130,14 @@ ProbeProfile profile_probes(const netlist::Netlist& nl, cost::Evaluator& eval,
   const placement::HpwlState& hpwl = eval.hpwl();
   const netlist::Topology& topo = nl.topology();
   timing::PathTimer timer(paths, hpwl, params.delay_model);
-  const timing::PathSet& pset = *paths;
-  const auto px = placement.positions_x();
   const auto py = placement.positions_y();
-  std::vector<double> xs(px.begin(), px.end());
-  std::vector<double> ys(py.begin(), py.end());
+  placement::MovedPositions staged(nl.num_cells());
   placement::NetMarker marker(nl.num_nets());
   std::vector<netlist::CellId> moved;
   moved.reserve(nl.num_cells());
   std::vector<placement::NetChange> changes;
   changes.reserve(nl.num_nets());
-  std::vector<placement::NetChange> path_changes;
-  path_changes.reserve(pset.num_path_nets());
-  std::vector<std::uint32_t> offsets(2, 0);
-  std::vector<double> delays(1);
+  std::vector<double> peek_sums;
   std::vector<cost::Objectives> objs(1);
   std::vector<double> costs(1);
 
@@ -166,9 +162,7 @@ ProbeProfile profile_probes(const netlist::Netlist& nl, cost::Evaluator& eval,
       moved.clear();
       const placement::SwapOverlay ov =
           placement::build_swap_overlay(placement, m.a, m.b, &moved);
-      for (netlist::CellId c : moved) {
-        placement::overlaid_position(ov, c, px[c], py[c], &xs[c], &ys[c]);
-      }
+      placement::stage_moved(placement, ov, moved, &staged);
       const auto t1 = Clock::now();
       marker.begin();
       for (netlist::CellId c : moved) marker.add_nets_of(topo, c);
@@ -177,21 +171,12 @@ ProbeProfile profile_probes(const netlist::Netlist& nl, cost::Evaluator& eval,
                                               ? placement::RowMovers{m.a, m.b}
                                               : placement::RowMovers{};
       changes.clear();
-      const double delta = hpwl.probe_nets_batch(xs, ys, marker, movers,
-                                                 &changes, nullptr);
-      for (netlist::CellId c : moved) {
-        xs[c] = px[c];
-        ys[c] = py[c];
-      }
+      const double delta =
+          hpwl.probe_nets_batch(staged, marker, movers, &changes, nullptr);
       const auto t3 = Clock::now();
-      path_changes.clear();
-      for (const auto& change : changes) {
-        if (pset.net_on_path(change.net)) path_changes.push_back(change);
-      }
-      offsets[1] = static_cast<std::uint32_t>(path_changes.size());
-      timer.peek_delta_batch(path_changes, offsets, delays);
+      const double delay = timer.peek_delta(changes, peek_sums);
       const auto t4 = Clock::now();
-      objs[0] = {hpwl.total() + delta, delays[0],
+      objs[0] = {hpwl.total() + delta, delay,
                  ov.max_extent * placement.layout().core_height()};
       eval.goals().cost_batch(objs, costs);
       const auto t5 = Clock::now();

@@ -6,6 +6,19 @@ namespace pts::cost {
 
 using netlist::CellId;
 
+ProbeScratch::ProbeScratch(const Evaluator& eval)
+    : staged_(eval.placement_.netlist().num_cells()),
+      marker_(eval.placement_.netlist().num_nets()) {
+  // Every buffer at its worst case up front, so that probing never
+  // allocates in steady state (asserted by stress_test's allocation guard).
+  const netlist::Netlist& nl = eval.placement_.netlist();
+  moved_.reserve(nl.num_cells());
+  changes_.reserve(nl.num_nets());
+  objs_.reserve(kProbeBatchWidth);
+  peek_sums_.reserve(eval.paths_->size());
+  probed_.states.reserve(nl.num_nets());
+}
+
 Evaluator::Evaluator(placement::Placement placement,
                      std::shared_ptr<const timing::PathSet> paths,
                      const CostParams& params, const FuzzyGoals& goals)
@@ -15,19 +28,9 @@ Evaluator::Evaluator(placement::Placement placement,
       goals_(goals),
       hpwl_(placement_),
       timer_(paths_, hpwl_, params.delay_model),
-      marker_(placement_.netlist().num_nets()),
-      topology_(&placement_.netlist().topology()) {
+      topology_(&placement_.netlist().topology()),
+      scratch_(*this) {
   PTS_CHECK(params_.rebuild_interval >= 1);
-  // Size every scratch buffer to its worst case up front so that neither
-  // probing nor apply_swap/commit_probe allocates in steady state (asserted
-  // by topology_test's allocation-counting guard).
-  moved_scratch_.reserve(placement_.netlist().num_cells());
-  change_scratch_.reserve(placement_.netlist().num_nets());
-  probed_.states.reserve(placement_.netlist().num_nets());
-  const auto px = placement_.positions_x();
-  const auto py = placement_.positions_y();
-  shadow_x_.assign(px.begin(), px.end());
-  shadow_y_.assign(py.begin(), py.end());
 }
 
 Objectives Evaluator::objectives() const {
@@ -53,102 +56,60 @@ double Evaluator::probe_swap(CellId a, CellId b) {
 }
 
 void Evaluator::probe_batch(std::span<const Move> moves,
-                            std::span<double> costs) {
+                            std::span<double> costs, ProbeScratch& s) const {
   PTS_DCHECK(costs.size() == moves.size());
-  probe_valid_ = false;
+  s.probe_valid_ = false;
   if (moves.empty()) return;
 
-  // The timing replay only folds nets that lie on a monitored path; any
-  // other net's NetChange is an exact no-op in peek_delta's sum (its
-  // paths_of_net slice is empty — no arithmetic, not even a +0.0). Keeping
-  // only path-relevant changes therefore leaves every delay bit unchanged
-  // while giving the concatenated buffer a true static bound —
-  // width × num_path_nets — so steady state never reallocates, matching
-  // the ctor's worst-case-up-front sizing contract. (The unfiltered bound
-  // would be width × num_nets, content-dependent in practice: one unlucky
-  // batch past the high-water mark would allocate mid-search.)
-  const timing::PathSet& pset = timer_.paths();
-  const std::size_t max_changes = moves.size() * pset.num_path_nets();
-  if (batch_changes_.capacity() < max_changes) {
-    batch_changes_.reserve(max_changes);
-  }
-  const auto px = placement_.positions_x();
   const auto py = placement_.positions_y();
-
-  batch_changes_.clear();
-  batch_offsets_.clear();
-  batch_offsets_.push_back(0);
-  batch_objs_.resize(moves.size());
+  s.objs_.resize(moves.size());
   const double area_scale = placement_.layout().core_height();
   const std::size_t last = moves.size() - 1;
-
   for (std::size_t i = 0; i < moves.size(); ++i) {
-    // Swap-free scoring: describe the would-be geometry as an overlay, mark
-    // the touched nets in the exact order a real swap would report moved
-    // cells, stage the overlaid coordinates of those cells into the shadow
-    // arrays (O(moved) writes), and recompute the touched boxes with the
-    // plain-load kernel. The shadow is restored to the committed positions
-    // before the next candidate. The last candidate also keeps its boxes
-    // and delta (moved_scratch_ and marker_ keep its cells and nets), so
-    // commit_probe() can promote it.
-    moved_scratch_.clear();
-    const placement::SwapOverlay ov = placement::build_swap_overlay(
-        placement_, moves[i].a, moves[i].b, &moved_scratch_);
-    marker_.begin();
-    for (CellId cell : moved_scratch_) marker_.add_nets_of(*topology_, cell);
-    for (CellId cell : moved_scratch_) {
-      placement::overlaid_position(ov, cell, px[cell], py[cell],
-                                   &shadow_x_[cell], &shadow_y_[cell]);
-    }
-    // a and b change rows exactly when they sit on different rows.
+    // Swap-free scoring: describe the would-be geometry as an overlay,
+    // stage the would-be positions of the moved cells by stamp, mark the
+    // touched nets in the exact order a real swap would report moved cells,
+    // and score those nets. The last candidate also keeps its net states,
+    // delta and peeked sums (marker_ keeps its nets), so commit_probe() can
+    // promote it.
     const CellId a = moves[i].a;
     const CellId b = moves[i].b;
+    s.moved_.clear();
+    const placement::SwapOverlay ov =
+        placement::build_swap_overlay(placement_, a, b, &s.moved_);
+    placement::stage_moved(placement_, ov, s.moved_, &s.staged_);
+    s.marker_.begin();
+    for (CellId cell : s.moved_) s.marker_.add_nets_of(*topology_, cell);
+    // a and b change rows exactly when they sit on different rows.
     const placement::RowMovers movers =
         py[a] != py[b] ? placement::RowMovers{a, b} : placement::RowMovers{};
 
-    change_scratch_.clear();
-    const double delta = hpwl_.probe_nets_batch(
-        shadow_x_, shadow_y_, marker_, movers, &change_scratch_,
-        i == last ? &probed_ : nullptr);
-    for (CellId cell : moved_scratch_) {
-      shadow_x_[cell] = px[cell];
-      shadow_y_[cell] = py[cell];
-    }
-    for (const auto& change : change_scratch_) {
-      if (pset.net_on_path(change.net)) batch_changes_.push_back(change);
-    }
-    batch_offsets_.push_back(static_cast<std::uint32_t>(batch_changes_.size()));
+    s.changes_.clear();
+    const double delta =
+        hpwl_.probe_nets_batch(s.staged_, s.marker_, movers, &s.changes_,
+                               i == last ? &s.probed_ : nullptr);
     // `total_ + delta` is the exact expression update_nets() folds into the
-    // running total.
-    batch_objs_[i].wirelength = hpwl_.total() + delta;
-    batch_objs_[i].area = ov.max_extent * area_scale;
-    probe_delta_ = delta;
+    // running total; peek_delta replays apply_net_change/max_delay on the
+    // scratch sums, which are left holding the last candidate's.
+    s.objs_[i].wirelength = hpwl_.total() + delta;
+    s.objs_[i].delay = timer_.peek_delta(s.changes_, s.peek_sums_);
+    s.objs_[i].area = ov.max_extent * area_scale;
+    s.probe_delta_ = delta;
   }
-
-  // peek_delta_batch replays the apply_net_change/max_delay sequence per
-  // candidate on scratch sums, which are left holding the last candidate's.
-  batch_delays_.resize(moves.size());
-  timer_.peek_delta_batch(batch_changes_, batch_offsets_, batch_delays_);
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    batch_objs_[i].delay = batch_delays_[i];
-  }
-  goals_.cost_batch(batch_objs_, costs);
-  probe_a_ = moves[last].a;
-  probe_b_ = moves[last].b;
-  probe_valid_ = true;
+  goals_.cost_batch(s.objs_, costs);
+  s.probe_a_ = moves[last].a;
+  s.probe_b_ = moves[last].b;
+  s.probe_valid_ = true;
 }
 
 double Evaluator::commit_probe() {
-  PTS_CHECK_MSG(probe_valid_,
+  ProbeScratch& s = scratch_;
+  PTS_CHECK_MSG(s.probe_valid_,
                 "commit_probe() without an immediately preceding probe");
-  probe_valid_ = false;
-  placement_.swap_cells(probe_a_, probe_b_);
-  // moved_scratch_ still holds the pending candidate's moved set
-  // (build_swap_overlay reports the cells swap_cells moves, and
-  // probe_valid_ guarantees no intervening mutation), and marker_ its nets.
-  refresh_shadow(moved_scratch_);
-  hpwl_.commit_probe(marker_.nets(), probed_, probe_delta_);
-  timer_.commit_peek();
+  s.probe_valid_ = false;
+  placement_.swap_cells(s.probe_a_, s.probe_b_);
+  hpwl_.commit_probe(s.marker_.nets(), s.probed_, s.probe_delta_);
+  timer_.commit_peek(s.peek_sums_);
 
   ++swaps_applied_;
   if (++swaps_since_rebuild_ >= params_.rebuild_interval) rebuild_all();
@@ -156,18 +117,16 @@ double Evaluator::commit_probe() {
 }
 
 double Evaluator::commit_swap(CellId a, CellId b) {
-  const bool pending = probe_valid_ && ((probe_a_ == a && probe_b_ == b) ||
-                                        (probe_a_ == b && probe_b_ == a));
+  const ProbeScratch& s = scratch_;
+  const bool pending =
+      s.probe_valid_ && ((s.probe_a_ == a && s.probe_b_ == b) ||
+                         (s.probe_a_ == b && s.probe_b_ == a));
   return pending ? commit_probe() : apply_swap(a, b);
 }
 
 void Evaluator::reset_placement(const std::vector<CellId>& cell_at_slot) {
-  probe_valid_ = false;
+  scratch_.probe_valid_ = false;
   placement_.assign_slots(cell_at_slot);
-  const auto px = placement_.positions_x();
-  const auto py = placement_.positions_y();
-  shadow_x_.assign(px.begin(), px.end());
-  shadow_y_.assign(py.begin(), py.end());
   rebuild_all();
 }
 
@@ -183,7 +142,7 @@ Evaluator::CheckpointState Evaluator::checkpoint() const {
 }
 
 void Evaluator::restore_checkpoint(const CheckpointState& st) {
-  // reset_placement rebuilds boxes/positions/shadow exactly (stateless
+  // reset_placement rebuilds boxes and positions exactly (stateless
   // recomputes), then the drift-carrying accumulators are overwritten with
   // the captured values and the rebuild cadence counter is reinstated.
   reset_placement(st.slots);
@@ -191,15 +150,6 @@ void Evaluator::restore_checkpoint(const CheckpointState& st) {
   timer_.restore_wire_sums(st.wire_sums);
   swaps_applied_ = static_cast<std::size_t>(st.swaps_applied);
   swaps_since_rebuild_ = static_cast<std::size_t>(st.swaps_since_rebuild);
-}
-
-void Evaluator::refresh_shadow(std::span<const CellId> cells) {
-  const auto px = placement_.positions_x();
-  const auto py = placement_.positions_y();
-  for (CellId c : cells) {
-    shadow_x_[c] = px[c];
-    shadow_y_[c] = py[c];
-  }
 }
 
 void Evaluator::rebuild_all() {

@@ -25,9 +25,16 @@
 //   ...
 //   eval.apply_swap(a, b);                  // swap is an involution: undo
 //
-// Each worker owns its own Evaluator (its private copy of the current
-// solution); the PathSet is immutable and shared. Probe scratch lives in the
-// Evaluator, so neither probe nor apply allocates in steady state.
+// An Evaluator is one committed state: placement, HPWL state, path sums
+// and the rebuild cadence. Everything a probe writes lives in a
+// ProbeScratch, so probe_batch() through distinct scratches only reads the
+// committed state and several threads may probe one Evaluator at once —
+// never while it commits (apply_swap, commit_probe, commit_swap,
+// reset_placement, restore_checkpoint). The Evaluator owns one scratch,
+// which the single-threaded API (probe_swap, the two-argument probe_batch,
+// commit_probe) uses; the shared-memory engine gives each further thread
+// its own. The PathSet is immutable and shared. Every scratch is sized up
+// front, so neither probe nor commit allocates in steady state.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +60,39 @@ struct Move {
 /// diversification, the shared-memory engine). Scores are independent of
 /// the chunking, so this is a throughput constant, not a search parameter.
 inline constexpr std::size_t kProbeBatchWidth = 8;
+
+class Evaluator;
+
+/// Everything one probe writes: the moved list and its staged positions,
+/// the net marker, the net changes, the objective tuples, the peeked path
+/// sums, and the pending candidate (the last one probed, with its kept net
+/// states and HPWL delta). One per probing thread. Each probe writes its
+/// counters, so scratches probed by different threads at once must not
+/// share a cache line (parallel::SharedCompoundStrategy pads them).
+class ProbeScratch {
+ public:
+  /// Sized for probing `eval`, so probing through it never allocates.
+  explicit ProbeScratch(const Evaluator& eval);
+
+ private:
+  friend class Evaluator;
+
+  std::vector<netlist::CellId> moved_;
+  placement::MovedPositions staged_;
+  placement::NetMarker marker_;
+  std::vector<placement::NetChange> changes_;
+  std::vector<Objectives> objs_;
+  std::vector<double> peek_sums_;
+  // Pending probe — the last candidate of the last probe_batch through this
+  // scratch: the pair, the new state of its touched nets (index-aligned
+  // with marker_.nets()), its weighted HPWL delta, and whether the scratch
+  // (probed_, marker_ nets, peek_sums_) still describes it.
+  placement::ProbedNets probed_;
+  netlist::CellId probe_a_ = netlist::kNoCell;
+  netlist::CellId probe_b_ = netlist::kNoCell;
+  double probe_delta_ = 0.0;
+  bool probe_valid_ = false;
+};
 
 struct CostParams {
   timing::DelayModel delay_model;
@@ -106,18 +146,28 @@ class Evaluator {
   /// apply_swap(moves[i].a, moves[i].b) would return against the current
   /// state — bit-identical, pinned by tests/property_test.cpp — without
   /// mutating the placement geometry at all. Each candidate is described by
-  /// a SwapOverlay (placement/overlay.hpp) staged into shadow position
-  /// arrays (O(moved) writes, restored after the probe), and its touched
-  /// nets are scored by HpwlState::probe_nets_batch — in O(1) from the
-  /// committed runner-ups when one moved cell touches the net and stays in
-  /// its row, from the pins otherwise; per-candidate net changes are replayed
-  /// against scratch path sums in one peek_delta_batch call, and a single
+  /// a SwapOverlay (placement/overlay.hpp) whose moved cells are staged by
+  /// stamp (O(moved) writes, no copy of the committed positions), and its
+  /// touched nets are scored by HpwlState::probe_nets_batch — in O(1) from
+  /// the committed runner-ups when one moved cell touches the net and stays
+  /// in its row, from the pins otherwise; its net changes are replayed
+  /// against scratch path sums (PathTimer::peek_delta), and a single
   /// FuzzyGoals OWA pass converts all N objective tuples to costs.
   /// Candidates are scored against the same committed state, so the batch
   /// is equivalent to N sequential probes. The last candidate stays
-  /// pending: its boxes, HPWL delta and peeked path sums are kept, so
-  /// commit_probe()/commit_swap() can promote it.
-  void probe_batch(std::span<const Move> moves, std::span<double> costs);
+  /// pending in the scratch: its net states, HPWL delta and peeked path
+  /// sums are kept, so commit_probe()/commit_swap() can promote it.
+  void probe_batch(std::span<const Move> moves, std::span<double> costs) {
+    probe_batch(moves, costs, scratch_);
+  }
+
+  /// probe_batch() through caller scratch: reads only the committed state,
+  /// so threads each holding their own scratch may probe one Evaluator
+  /// concurrently (never during a commit). Costs are bit-identical to the
+  /// two-argument form's; the pending candidate stays in `scratch`, which
+  /// nothing commits — the Evaluator's own pending probe is untouched.
+  void probe_batch(std::span<const Move> moves, std::span<double> costs,
+                   ProbeScratch& scratch) const;
 
   /// Promotes the pending probe — the last candidate of the immediately
   /// preceding probe_batch()/probe_swap() — into the committed state and
@@ -173,9 +223,9 @@ class Evaluator {
                                     const CostParams& params);
 
  private:
+  friend class ProbeScratch;
+
   void rebuild_all();
-  /// Re-copies committed positions into the shadow arrays for `cells`.
-  void refresh_shadow(std::span<const netlist::CellId> cells);
 
   placement::Placement placement_;
   std::shared_ptr<const timing::PathSet> paths_;
@@ -183,37 +233,8 @@ class Evaluator {
   FuzzyGoals goals_;
   placement::HpwlState hpwl_;
   timing::PathTimer timer_;
-  placement::NetMarker marker_;
   const netlist::Topology* topology_;  // CSR adjacency for the trial gather
-  std::vector<netlist::CellId> moved_scratch_;
-  std::vector<placement::NetChange> change_scratch_;
-  // probe_batch scratch: concatenated per-candidate net changes with CSR
-  // offsets, objective tuples, and delay estimates. Only timing-relevant
-  // changes (nets on a monitored path) are kept — any other net is an exact
-  // no-op in the delay replay — which bounds the buffer at
-  // width × PathSet::num_path_nets(), lazily reserved on first use so
-  // batched probing does not allocate in steady state.
-  std::vector<placement::NetChange> batch_changes_;
-  std::vector<std::uint32_t> batch_offsets_;
-  std::vector<Objectives> batch_objs_;
-  std::vector<double> batch_delays_;
-  // Shadow copy of the committed SoA positions. probe_batch overwrites only
-  // a candidate's moved cells and restores them after the probe; committed
-  // mutations (apply_swap/commit_probe) re-copy their moved cells, and
-  // reset_placement re-copies everything, so the shadow always equals the
-  // committed positions between calls.
-  std::vector<double> shadow_x_;
-  std::vector<double> shadow_y_;
-  // Pending probe — the last candidate of the last probe_batch: the pair,
-  // the new state of its touched nets (index-aligned with marker_.nets()),
-  // its weighted HPWL delta, and whether the scratch (probed_,
-  // moved_scratch_, marker_ nets, the timer's peek sums) still describes
-  // it. Cleared by any committed mutation.
-  placement::ProbedNets probed_;
-  netlist::CellId probe_a_ = netlist::kNoCell;
-  netlist::CellId probe_b_ = netlist::kNoCell;
-  double probe_delta_ = 0.0;
-  bool probe_valid_ = false;
+  ProbeScratch scratch_;               // the single-threaded API's probes
   std::size_t swaps_applied_ = 0;
   std::size_t swaps_since_rebuild_ = 0;
 };

@@ -47,9 +47,6 @@ struct SharedParams {
   /// of the thread count (see shared_engine.hpp), so this is purely a
   /// throughput knob.
   std::size_t threads = 4;
-  /// Trials claimed per counter grab in the parallel region; 0 picks a
-  /// chunk that spreads the level's width over the pool.
-  std::size_t chunk = 0;
 };
 
 struct PtsConfig {

@@ -5,8 +5,9 @@
 // protocol is pure overhead. This engine instead runs the *sequential*
 // tabu search (TabuSearch, Figure 1) and parallelizes the one hot spot
 // every iteration has: the width-many candidate probes of each compound
-// level. Worker threads share the read-only CSR Topology and each own a
-// private Evaluator replica; trials are distributed with the atomic-counter
+// level. Every thread probes the coordinator's one Evaluator — its
+// committed state is read-only during a level — through its own
+// ProbeScratch; trials are distributed with the atomic-counter
 // parallel-for in support/parallel_for.hpp (chunked grabs for cache
 // locality) instead of mailbox messages. See DESIGN.md §8.
 //
@@ -19,20 +20,19 @@
 //  1. All candidate sampling happens on the coordinator, from the single
 //     search stream, before the parallel region — probes consume no RNG, so
 //     the draw order matches the sequential interleaved loop exactly.
-//  2. probe_batch changes no observable state and is bit-identical against
-//     equal committed state (DESIGN.md §3), so each trial's cost does not
-//     depend on which thread probed it or in what order. Replicas replay
-//     every coordinator mutation (an op log of committed swaps) before
-//     probing, so their committed state is bit-identical to the
-//     coordinator's — including the periodic drift-control rebuild, which
-//     triggers at the same committed-swap count everywhere.
+//  2. There is one committed state, and a level only reads it: every
+//     thread probes the coordinator's Evaluator through a scratch of its
+//     own, and only the coordinator commits, between parallel regions. A
+//     probe is a pure function of the committed state and the pair
+//     (DESIGN.md §3), so each trial's cost does not depend on which thread
+//     probed it or in what order. Nothing is replayed, so the periodic
+//     drift-control rebuild has one cadence.
 //  3. The reduction runs on the coordinator in trial-index order with the
 //     sequential rule (tabu::select_best: first strict minimum wins) —
 //     reduction order is part of the API, exactly like summation order in
 //     the CSR layout (§7). The winner is committed with apply_swap, whose
-//     state equals the sequential loop's commit; the coordinator's pending
-//     probe depends on which chunks worker 0 claimed, so it is never
-//     promoted.
+//     state equals the sequential loop's commit; the probes stay pending in
+//     the threads' scratches, which nothing promotes.
 //
 // Worker threads persist for the whole run (ThreadPool); a level dispatches
 // one parallel region. Oversubscribed thread counts are clamped to the
@@ -74,46 +74,38 @@ struct SharedResult {
   std::size_t threads_used = 0;  ///< after the movable-cell clamp
 };
 
-/// The compound-move strategy SharedEngine installs into TabuSearch.
-/// evals[0] is the coordinator's evaluator — the one TabuSearch owns and
-/// mutates; evals[1..] are replicas of the same solution, one per further
-/// pool thread, that catch up with the coordinator's committed swaps
-/// through an op log before they probe. `chunk` 0 picks about four grabs
-/// per thread and level.
+/// The compound-level strategy SharedEngine installs into TabuSearch: the
+/// level's trials are probed across the pool against the coordinator's
+/// committed state, each thread through a scratch of its own, in about
+/// four chunks per thread. No thread writes into the Evaluator during a
+/// level, so none shares a cache line with the committed state the others
+/// read.
 class SharedCompoundStrategy final : public tabu::CompoundStrategy {
  public:
-  SharedCompoundStrategy(ThreadPool& pool, std::vector<cost::Evaluator*> evals,
-                         std::size_t chunk);
+  /// Scratches sized for probing `eval` (the evaluator commit_best_trial
+  /// will be given), one per pool thread.
+  SharedCompoundStrategy(ThreadPool& pool, const cost::Evaluator& eval);
 
-  void build(cost::Evaluator& eval, const tabu::CellRange& range,
-             const tabu::CompoundParams& params, Rng& rng,
-             const tabu::FrequencyMemory* memory,
-             tabu::CompoundMove* out) override;
-  void undo(cost::Evaluator& eval, const tabu::CompoundMove& move) override;
-
-  /// One level: scores `moves` across the pool against the coordinator's
-  /// committed state, commits the tabu::select_best winner on evals[0] with
-  /// apply_swap, and returns its index; `*cost_out` receives the committed
-  /// cost. The parallel counterpart of tabu::commit_best_trial — same
-  /// winner, same committed state.
-  std::size_t commit_best_trial(std::span<const cost::Move> moves,
+  /// One level: scores `moves` across the pool against `eval`'s committed
+  /// state, commits the tabu::select_best winner with apply_swap, and
+  /// returns its index; `*cost_out` receives the committed cost. The
+  /// parallel counterpart of tabu::commit_best_trial — same winner, same
+  /// committed state.
+  std::size_t commit_best_trial(cost::Evaluator& eval,
+                                std::span<const cost::Move> moves,
                                 const tabu::FrequencyMemory* memory,
-                                bool use_memory, double* cost_out);
+                                bool use_memory, double* cost_out) override;
 
  private:
-  std::size_t auto_chunk(std::size_t width) const;
-  cost::Evaluator& synced_evaluator(std::size_t worker);
+  /// A thread's scratch on cache lines of its own.
+  struct alignas(64) WorkerScratch {
+    explicit WorkerScratch(const cost::Evaluator& eval) : probe(eval) {}
+    cost::ProbeScratch probe;
+  };
 
   ThreadPool* pool_;
-  std::vector<cost::Evaluator*> evals_;
-  std::size_t chunk_;
-  /// Every committed mutation of evals_[0], in application order (commits
-  /// and undo re-applies alike). Grows by at most 2*depth moves per tabu
-  /// iteration — bytes per iteration, never compacted.
-  std::vector<tabu::Move> oplog_;
-  std::vector<std::size_t> cursors_;  ///< per-worker oplog replay position
-  std::vector<cost::Move> moves_;     ///< level scratch: sampled trials
-  std::vector<double> costs_;         ///< level scratch: probed costs
+  std::vector<WorkerScratch> scratches_;  ///< one per pool thread
+  std::vector<double> costs_;             ///< level scratch: probed costs
 };
 
 class SharedEngine {

@@ -31,17 +31,44 @@ double pick(bool c, double a, double b) {
                                (std::bit_cast<std::uint64_t>(b) & ~mask));
 }
 
-// Plain min/max fold of a net's pins against per-cell position arrays:
-// driver-first init, then the sinks in net order.
-NetBox fold_box(std::span<const CellId> pins, const double* X,
-                const double* Y) {
-  const CellId driver = pins.front();
-  NetBox box{X[driver], X[driver], Y[driver], Y[driver]};
+// Pin positions of the committed placement.
+struct Committed {
+  const double* X;
+  const double* Y;
+  Point operator()(CellId c) const { return {X[c], Y[c]}; }
+};
+
+// Pin positions under a probed candidate: a moved cell's would-be position,
+// found by its mark, any other cell's committed one. The lookup branches
+// on the mark: at scale an unmoved pin's mark is often a cache miss, and a
+// predicted branch reads the committed position without waiting for it
+// (a masked select measured slower there, DESIGN.md §9).
+struct Probed {
+  const EpochMarks::Mark* marks;
+  std::uint32_t epoch;
+  const MovedPositions::Entry* entries;
+  const double* X;
+  const double* Y;
+  Point operator()(CellId c) const {
+    const EpochMarks::Mark m = marks[c];
+    if (m.epoch != epoch) return {X[c], Y[c]};
+    const MovedPositions::Entry& e = entries[m.index];
+    return {e.new_x, e.new_y};
+  }
+};
+
+// Plain min/max fold of a net's pins: driver-first init, then the sinks in
+// net order.
+template <class Pos>
+NetBox fold_box(std::span<const CellId> pins, Pos pos) {
+  const Point d = pos(pins.front());
+  NetBox box{d.x, d.x, d.y, d.y};
   for (const CellId c : pins.subspan(1)) {
-    box.min_x = std::min(box.min_x, X[c]);
-    box.max_x = std::max(box.max_x, X[c]);
-    box.min_y = std::min(box.min_y, Y[c]);
-    box.max_y = std::max(box.max_y, Y[c]);
+    const Point p = pos(c);
+    box.min_x = std::min(box.min_x, p.x);
+    box.max_x = std::max(box.max_x, p.x);
+    box.min_y = std::min(box.min_y, p.y);
+    box.max_y = std::max(box.max_y, p.y);
   }
   return box;
 }
@@ -98,28 +125,30 @@ void insert3(double x, double& v0, double& v1, double& v2) {
 // Box and runner-ups of a net from its pins. `repeats` says some cell is
 // listed twice (Topology::net_repeats_cell); the network would count it
 // twice, so those nets fold with cell ids.
-NetState fold_state(std::span<const CellId> pins, bool repeats,
-                    const double* X, const double* Y) {
+template <class Pos>
+NetState fold_state(std::span<const CellId> pins, bool repeats, Pos pos) {
   // Scalars, not arrays, so the network stays in registers.
   double lo0 = kInf, lo1 = kInf, lo2 = kInf;
   double hi0 = -kInf, hi1 = -kInf, hi2 = -kInf;
   double min_y = kInf;
   double max_y = -kInf;
-  for (const CellId c : pins) {
-    min_y = std::min(min_y, Y[c]);
-    max_y = std::max(max_y, Y[c]);
-  }
   if (!repeats) [[likely]] {
     for (const CellId c : pins) {
-      insert3<true>(X[c], lo0, lo1, lo2);
-      insert3<false>(X[c], hi0, hi1, hi2);
+      const Point p = pos(c);
+      min_y = std::min(min_y, p.y);
+      max_y = std::max(max_y, p.y);
+      insert3<true>(p.x, lo0, lo1, lo2);
+      insert3<false>(p.x, hi0, hi1, hi2);
     }
   } else {
     Extremes<true> l;
     Extremes<false> h;
     for (const CellId c : pins) {
-      l.add(c, X[c]);
-      h.add(c, X[c]);
+      const Point p = pos(c);
+      min_y = std::min(min_y, p.y);
+      max_y = std::max(max_y, p.y);
+      l.add(c, p.x);
+      h.add(c, p.x);
     }
     lo0 = l.v[0], lo1 = l.v[1], lo2 = l.v[2];
     hi0 = h.v[0], hi1 = h.v[1], hi2 = h.v[2];
@@ -178,8 +207,8 @@ NetBox compute_net_box(const Placement& placement, NetId net) {
   // CSR pins are driver-first, sinks in net order, so this visits cells in
   // the exact order the Net-struct walk always did (min/max order pinned).
   return fold_box(placement.netlist().topology().pins(net),
-                  placement.positions_x().data(),
-                  placement.positions_y().data());
+                  Committed{placement.positions_x().data(),
+                            placement.positions_y().data()});
 }
 
 double total_hpwl(const Placement& placement) {
@@ -199,15 +228,15 @@ HpwlState::HpwlState(const Placement& placement)
   rebuild();
 }
 
-NetState HpwlState::fold_net(NetId net, const double* X,
-                             const double* Y) const {
-  return fold_state(topology_->pins(net), topology_->net_repeats_cell(net), X,
-                    Y);
+template <class Pos>
+NetState HpwlState::fold_net(NetId net, Pos pos) const {
+  return fold_state(topology_->pins(net), topology_->net_repeats_cell(net),
+                    pos);
 }
 
 NetState HpwlState::compute_state(NetId net) const {
-  return fold_net(net, placement_->positions_x().data(),
-                  placement_->positions_y().data());
+  return fold_net(net, Committed{placement_->positions_x().data(),
+                                 placement_->positions_y().data()});
 }
 
 double HpwlState::update_nets(std::span<const NetId> nets,
@@ -225,22 +254,18 @@ double HpwlState::update_nets(std::span<const NetId> nets,
   return delta;
 }
 
-double HpwlState::probe_nets_batch(std::span<const double> xs,
-                                   std::span<const double> ys,
+double HpwlState::probe_nets_batch(const MovedPositions& moved,
                                    const NetMarker& marked, RowMovers movers,
                                    std::vector<NetChange>* changes,
                                    ProbedNets* keep) const {
   PTS_DCHECK(changes != nullptr);
-  PTS_DCHECK(xs.size() == ys.size());
   return keep != nullptr
-             ? probe_nets<true>(xs.data(), ys.data(), marked, movers, changes,
-                                keep)
-             : probe_nets<false>(xs.data(), ys.data(), marked, movers,
-                                 changes, nullptr);
+             ? probe_nets<true>(moved, marked, movers, changes, keep)
+             : probe_nets<false>(moved, marked, movers, changes, nullptr);
 }
 
 template <bool kKeep>
-double HpwlState::probe_nets(const double* X, const double* Y,
+double HpwlState::probe_nets(const MovedPositions& moved,
                              const NetMarker& marked, RowMovers movers,
                              std::vector<NetChange>* changes,
                              ProbedNets* keep) const {
@@ -248,7 +273,13 @@ double HpwlState::probe_nets(const double* X, const double* Y,
   const CellId* first = marked.first_cells().data();
   const std::uint32_t* count = marked.cell_counts().data();
   const NetState* states = states_.data();
-  const double* P = placement_->positions_x().data();  // committed x
+  // Locals, not loads through `moved`: the change stores below could
+  // otherwise alias its members and force a reload per net.
+  const EpochMarks::Mark* marks = moved.marks().data();
+  const MovedPositions::Entry* entries = moved.entries();
+  const Probed pos{marks, moved.marks().epoch(), entries,
+                   placement_->positions_x().data(),
+                   placement_->positions_y().data()};
   const std::size_t n = nets.size();
 
   // Cursor-style change emission: write unconditionally, advance only when
@@ -277,19 +308,21 @@ double HpwlState::probe_nets(const double* X, const double* Y,
     if (folds_pins(count[i], c, movers)) [[unlikely]] {
       // Several moved cells, or a cell changing rows: fold the pins.
       if constexpr (kKeep) {
-        kept[i] = fold_net(net, X, Y);
+        kept[i] = fold_net(net, pos);
         box = kept[i].box;
         ++rescanned;
       } else {
-        box = fold_box(topology_->pins(net), X, Y);
+        box = fold_box(topology_->pins(net), pos);
       }
     } else {
       // One moved cell, same row: y is the committed box's, and each x
       // edge is the moved cell's new x against the extreme over every
       // other cell — the runner-up if the cell sat on the edge (a tie on
       // the edge makes the two equal), else the edge.
-      const double xc = P[c];
-      const double xn = X[c];
+      PTS_DCHECK(marks[c].epoch == pos.epoch);
+      const MovedPositions::Entry& e = entries[marks[c].index];
+      const double xc = e.x;
+      const double xn = e.new_x;
       const Edge lo{s.box.min_x, s.x.min_next, s.x.min_bound};
       const Edge hi{s.box.max_x, s.x.max_next, s.x.max_bound};
       const double lo_first = first_other(lo, xc);
@@ -305,7 +338,7 @@ double HpwlState::probe_nets(const double* X, const double* Y,
         kept[i].x = XRunnerUps{new_lo.next, new_hi.next, new_lo.bound,
                                new_hi.bound};
         if (!(lo_known && hi_known)) [[unlikely]] {
-          kept[i] = fold_net(net, X, Y);
+          kept[i] = fold_net(net, pos);
           ++rescanned;
         }
       }

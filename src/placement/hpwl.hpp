@@ -8,10 +8,13 @@
 // instead of re-reading every pin (DESIGN.md §9).
 //
 // Trial moves use the probe/commit pair (DESIGN.md §3): probe_nets_batch()
-// scores the touched nets against caller-staged shadow position arrays and
-// returns the weighted delta without touching the committed state,
-// optionally keeping each net's new box and advanced runner-ups in caller
-// scratch; commit_probe() installs them. The delta is accumulated in the
+// scores the touched nets of one candidate — its moved cells' would-be
+// positions found by stamp in a MovedPositions, every other pin at its
+// committed position — and returns the weighted delta without touching the
+// committed state, optionally keeping each net's new box and advanced
+// runner-ups in caller scratch; commit_probe() installs them. A probe only
+// reads the committed state, so probes through distinct scratch may run
+// concurrently (never during a commit). The delta is accumulated in the
 // exact summation order update_nets() would use, so
 // `total() + probe_nets_batch(...)` is bit-identical to the total() after
 // update_nets() on the same nets against the same committed state.
@@ -117,6 +120,37 @@ struct RowMovers {
   netlist::CellId b = netlist::kNoCell;
 };
 
+/// Epoch marks over an id space (nets or cells): each id carries the epoch
+/// that last marked it and an index, and a mark counts only in its own
+/// epoch, so forgetting every mark is one increment instead of an O(ids)
+/// clear. NetMarker and MovedPositions share it.
+class EpochMarks {
+ public:
+  struct Mark {
+    std::uint32_t epoch = 0;
+    std::uint32_t index = 0;  // the owner's list position during that epoch
+  };
+
+  explicit EpochMarks(std::size_t size) : marks_(size) {}
+
+  /// Begins a new round; marks of earlier rounds are forgotten.
+  void begin() {
+    if (++epoch_ == 0) {  // wrapped: no stale mark may match the new epoch
+      for (Mark& m : marks_) m.epoch = 0;
+      epoch_ = 1;
+    }
+  }
+
+  std::uint32_t epoch() const { return epoch_; }
+  std::size_t size() const { return marks_.size(); }
+  Mark* data() { return marks_.data(); }
+  const Mark* data() const { return marks_.data(); }
+
+ private:
+  std::vector<Mark> marks_;
+  std::uint32_t epoch_ = 0;
+};
+
 /// Epoch-stamped net deduplicator: collects the union of nets incident to a
 /// set of moved cells without clearing an O(nets) array per swap. For each
 /// collected net it also records the first added cell incident to it and
@@ -135,27 +169,24 @@ class NetMarker {
 
   /// Begins a new collection round; previously collected nets are forgotten.
   void begin() {
-    if (++epoch_ == 0) {  // wrapped: no stale mark may match the new epoch
-      for (Mark& m : marks_) m.epoch = 0;
-      epoch_ = 1;
-    }
+    marks_.begin();
     size_ = 0;
   }
 
   void add_nets_of(const netlist::Topology& topology, netlist::CellId cell) {
     // Locals, not members: a store into the entry arrays could otherwise
     // alias size_ and force a reload per net.
-    Mark* marks = marks_.data();
+    EpochMarks::Mark* marks = marks_.data();
     netlist::NetId* nets = nets_.get();
     netlist::CellId* first = first_.get();
     std::uint32_t* count = count_.get();
-    const std::uint32_t epoch = epoch_;
+    const std::uint32_t epoch = marks_.epoch();
     std::uint32_t size = size_;
     for (netlist::NetId net : topology.nets_of(cell)) {
       PTS_DCHECK(net < marks_.size());
       // Write the next entry whether or not the net is new, and advance
       // only for a new one: no branch on the loaded mark.
-      Mark& mark = marks[net];
+      EpochMarks::Mark& mark = marks[net];
       const bool fresh = mark.epoch != epoch;
       const std::uint32_t index = fresh ? size : mark.index;
       nets[size] = net;
@@ -182,16 +213,53 @@ class NetMarker {
   }
 
  private:
-  struct Mark {
-    std::uint32_t epoch = 0;
-    std::uint32_t index = 0;  // position in nets_ during that epoch
-  };
-  std::vector<Mark> marks_;
-  std::uint32_t epoch_ = 0;
+  EpochMarks marks_;
   std::uint32_t size_ = 0;
   std::unique_ptr<netlist::NetId[]> nets_;
   std::unique_ptr<netlist::CellId[]> first_;
   std::unique_ptr<std::uint32_t[]> count_;
+};
+
+/// Where one candidate swap puts the cells it moves: per moved-list index
+/// the cell's committed x and its would-be position, and per cell a mark
+/// holding its index, so the probe kernel looks a pin up instead of
+/// reading a staged copy of every position. A cell unmarked this round did
+/// not move — pads never do — and keeps its committed position. Sized for
+/// every cell up front, so staging never allocates.
+class MovedPositions {
+ public:
+  struct Entry {
+    double x;      ///< committed x
+    double new_x;  ///< would-be x
+    double new_y;  ///< would-be y
+  };
+
+  explicit MovedPositions(std::size_t num_cells)
+      : marks_(num_cells),
+        entries_(std::make_unique_for_overwrite<Entry[]>(num_cells)) {}
+
+  /// Begins a new candidate; the last candidate's cells are forgotten.
+  void begin() {
+    marks_.begin();
+    size_ = 0;
+  }
+
+  /// Stages a moved cell (each cell at most once per candidate).
+  void add(netlist::CellId cell, double x, double new_x, double new_y) {
+    PTS_DCHECK(cell < marks_.size() && size_ < marks_.size());
+    marks_.data()[cell] = {marks_.epoch(), size_};
+    entries_[size_++] = Entry{x, new_x, new_y};
+  }
+
+  /// Per-cell marks (a cell is staged iff its mark carries marks().epoch())
+  /// and the entries they index.
+  const EpochMarks& marks() const { return marks_; }
+  const Entry* entries() const { return entries_.get(); }
+
+ private:
+  EpochMarks marks_;
+  std::uint32_t size_ = 0;
+  std::unique_ptr<Entry[]> entries_;
 };
 
 /// Bounding box of `net` over the current pin positions of `placement`.
@@ -226,25 +294,24 @@ class HpwlState {
                      std::vector<NetChange>* changes = nullptr);
 
   /// Probe counterpart of update_nets(): scores the nets `marked` collected
-  /// for a candidate's moved cells against caller-supplied per-cell
-  /// position arrays (a shadow copy of the committed SoA positions with the
-  /// moved cells overwritten via overlaid_position()) and returns the
-  /// change in weighted total, without touching committed state. A net
-  /// touched by one moved cell that stays in its row is scored in O(1) from
-  /// its committed box and runner-ups; nets touched by several moved cells
-  /// or by a row mover are recomputed from their pins. Both give the exact
-  /// min/max the pins would, so the result does not depend on the path.
-  /// Appends the same NetChanges update_nets() would report after a real
-  /// swap, and visits nets and sums the delta in update_nets()'s order,
-  /// which keeps every returned delta bit-identical to the committed path
-  /// (pinned by tests/property_test.cpp). When `keep` is non-null it
-  /// receives the new state of every touched net, index-aligned with
-  /// marked.nets() (no allocation once capacity is reached): the box, and
-  /// the runner-ups advanced past the one moved cell in O(1) — or, for the
-  /// nets folded from their pins and the rare net whose new runner-up the
-  /// record cannot tell, folded from the pins. commit_probe() installs it.
-  double probe_nets_batch(std::span<const double> xs,
-                          std::span<const double> ys, const NetMarker& marked,
+  /// for a candidate's moved cells, with those cells at the would-be
+  /// positions `moved` holds and every other pin at its committed position,
+  /// and returns the change in weighted total, without touching committed
+  /// state. A net touched by one moved cell that stays in its row is scored
+  /// in O(1) from its committed box and runner-ups and the cell's entry in
+  /// `moved`; nets touched by several moved cells or by a row mover are
+  /// recomputed from their pins. Both give the exact min/max the pins
+  /// would, so the result does not depend on the path. Appends the same
+  /// NetChanges update_nets() would report after a real swap, and visits
+  /// nets and sums the delta in update_nets()'s order, which keeps every
+  /// returned delta bit-identical to the committed path (pinned by
+  /// tests/property_test.cpp). When `keep` is non-null it receives the new
+  /// state of every touched net, index-aligned with marked.nets() (no
+  /// allocation once capacity is reached): the box, and the runner-ups
+  /// advanced past the one moved cell in O(1) — or, for the nets folded
+  /// from their pins and the rare net whose new runner-up the record cannot
+  /// tell, folded from the pins. commit_probe() installs it.
+  double probe_nets_batch(const MovedPositions& moved, const NetMarker& marked,
                           RowMovers movers, std::vector<NetChange>* changes,
                           ProbedNets* keep = nullptr) const;
 
@@ -280,11 +347,11 @@ class HpwlState {
   std::uint64_t rescanned_nets() const { return rescanned_nets_; }
 
  private:
-  NetState fold_net(netlist::NetId net, const double* X,
-                    const double* Y) const;
+  template <class Pos>
+  NetState fold_net(netlist::NetId net, Pos pos) const;
   NetState compute_state(netlist::NetId net) const;
   template <bool kKeep>
-  double probe_nets(const double* X, const double* Y, const NetMarker& marked,
+  double probe_nets(const MovedPositions& moved, const NetMarker& marked,
                     RowMovers movers, std::vector<NetChange>* changes,
                     ProbedNets* keep) const;
 

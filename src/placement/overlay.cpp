@@ -108,4 +108,26 @@ SwapOverlay build_swap_overlay(const Placement& p, CellId a, CellId b,
   return ov;
 }
 
+void stage_moved(const Placement& placement, const SwapOverlay& ov,
+                 std::span<const CellId> moved, MovedPositions* out) {
+  const auto px = placement.positions_x();
+  const auto py = placement.positions_y();
+  out->begin();
+  for (const CellId c : moved) {
+    const double cx = px[c];
+    const double cy = py[c];
+    const bool in_a = (cy == ov.row_a_y) & (cx > ov.a_lo) & (cx < ov.a_hi);
+    const bool in_b = (cy == ov.row_b_y) & (cx > ov.b_lo) & (cx < ov.b_hi);
+    double x = cx + (in_a ? ov.shift_a : 0.0) + (in_b ? ov.shift_b : 0.0);
+    double y = cy;
+    const bool is_a = c == ov.a;
+    const bool is_b = c == ov.b;
+    x = is_a ? ov.a_x : x;
+    y = is_a ? ov.a_y : y;
+    x = is_b ? ov.b_x : x;
+    y = is_b ? ov.b_y : y;
+    out->add(c, cx, x, y);
+  }
+}
+
 }  // namespace pts::placement

@@ -5,11 +5,13 @@
 // with row prefix-sum rebuilds) per trial. A SwapOverlay instead
 // *describes* the would-be geometry of swap_cells(a, b) against the
 // untouched committed state: a handful of per-row shift intervals plus the
-// new centers of a and b. Evaluator::probe_batch stages the overlay into
-// shadow position arrays — overlaid_position() for each moved cell, O(moved)
-// writes — and the box kernel (HpwlState::probe_nets_batch) then reads them
-// with plain loads, so scoring N candidates never serializes through
-// placement mutations and pays no per-pin classification cost.
+// new centers of a and b. Evaluator::probe_batch stages the would-be
+// position of each moved cell into a MovedPositions (placement/hpwl.hpp) —
+// O(moved) writes, each cell stamped with its moved-list index — and the
+// box kernel (HpwlState::probe_nets_batch) looks pins up by stamp, so
+// scoring N candidates never serializes through placement mutations, never
+// copies the committed positions, and classifies no pin against the
+// overlay.
 //
 // Exactness (why overlaid positions are bit-identical to a real swap):
 // cell widths are integers, so every committed x center is an exact
@@ -20,8 +22,10 @@
 // apply_swap (pinned by tests/property_test.cpp).
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "placement/hpwl.hpp"
 #include "placement/placement.hpp"
 
 namespace pts::placement {
@@ -59,27 +63,13 @@ SwapOverlay build_swap_overlay(const Placement& placement, netlist::CellId a,
                                netlist::CellId b,
                                std::vector<netlist::CellId>* moved);
 
-/// Overlaid position of a cell reported moved by build_swap_overlay, given
-/// its committed coordinates (cx, cy). The same select arithmetic that a
-/// real swap_cells(a, b) would evaluate — shift-band offset, then the new
-/// centers of a and b overriding — so staging these values into a shadow
-/// position array reproduces the would-be geometry bit for bit. Only
-/// meaningful for moved cells (they are all movable; pads never appear in
-/// the moved list, so no movability check is needed here).
-inline void overlaid_position(const SwapOverlay& ov, netlist::CellId c,
-                              double cx, double cy, double* x, double* y) {
-  const bool in_a = (cy == ov.row_a_y) & (cx > ov.a_lo) & (cx < ov.a_hi);
-  const bool in_b = (cy == ov.row_b_y) & (cx > ov.b_lo) & (cx < ov.b_hi);
-  double ox = cx + (in_a ? ov.shift_a : 0.0) + (in_b ? ov.shift_b : 0.0);
-  double oy = cy;
-  const bool is_a = c == ov.a;
-  const bool is_b = c == ov.b;
-  ox = is_a ? ov.a_x : ox;
-  oy = is_a ? ov.a_y : oy;
-  ox = is_b ? ov.b_x : ox;
-  oy = is_b ? ov.b_y : oy;
-  *x = ox;
-  *y = oy;
-}
+/// Stages every cell of `moved` — build_swap_overlay's list for `ov`, in
+/// its order — at its would-be position into `out`, begun afresh. Each
+/// position is the select arithmetic a real swap_cells(a, b) evaluates
+/// (shift-band offset, then the new centers of a and b overriding), so it
+/// is the real swap's bit for bit. Moved cells are all movable: pads never
+/// appear in the list, so none is checked against the shift bands.
+void stage_moved(const Placement& placement, const SwapOverlay& ov,
+                 std::span<const netlist::CellId> moved, MovedPositions* out);
 
 }  // namespace pts::placement

@@ -92,7 +92,6 @@ json::Value spec_to_json(const JobRequest& job) {
 
   Value shared = Value::object();
   shared.set("threads", Value(static_cast<double>(spec.shared.threads)));
-  shared.set("chunk", Value(static_cast<double>(spec.shared.chunk)));
   out.set("shared", std::move(shared));
 
   Value stop = Value::object();
@@ -171,7 +170,6 @@ std::optional<JobRequest> spec_from_json(const json::Value& value,
   }
   if (auto shared = reader.read_object("shared")) {
     shared->read_uint("threads", spec.shared.threads);
-    shared->read_uint("chunk", spec.shared.chunk);
     shared->finish();
   }
   if (auto stop = reader.read_object("stop")) {

@@ -97,9 +97,9 @@ struct SolveSpec {
   /// `tabu` blocks above are authoritative: they overwrite the copies
   /// nested inside this config when the run starts.
   parallel::PtsConfig parallel;
-  /// "parallel-shared" — thread count and chunking of the shared-memory
-  /// backend (it reuses the `tabu` block as its search parameters and the
-  /// sequential seed salts, so a 1-thread run is bit-identical to "tabu").
+  /// "parallel-shared" — thread count of the shared-memory backend (it
+  /// reuses the `tabu` block as its search parameters and the sequential
+  /// seed salts, so a 1-thread run is bit-identical to "tabu").
   parallel::SharedParams shared;
 
   // -- run control --------------------------------------------------------

@@ -9,20 +9,25 @@
 // region runs inline, which is what makes the 1-thread engine bit-identical
 // to, and as cheap as, the sequential path).
 //
+// A region's job is held by reference — a function pointer plus the
+// caller's callable, never a std::function — so dispatching a region
+// allocates nothing.
+//
 // Work distribution is the classic shared-counter idiom: every worker
 // fetch_add's a shared index and claims what it got, so load balance is
-// automatic whatever the per-item cost. parallel_for claims one index per
-// grab; parallel_for_chunked claims `chunk` consecutive indices per grab,
-// trading a little balance for fewer contended counter bumps and
-// cache-friendly runs over adjacent output slots.
+// automatic whatever the per-item cost. parallel_for_chunked claims `chunk`
+// consecutive indices per grab, trading a little balance for fewer
+// contended counter bumps and cache-friendly runs over adjacent output
+// slots.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "support/check.hpp"
@@ -55,33 +60,48 @@ class ThreadPool {
   std::size_t threads() const { return threads_; }
 
   /// Runs `job(worker_index)` on every worker concurrently — the caller runs
-  /// index 0 — and returns once all of them have finished. The mutex
-  /// handoffs at dispatch and join give the usual fork/join memory ordering:
-  /// everything the caller wrote before run() is visible to the workers, and
-  /// everything the workers wrote is visible to the caller after run().
-  void run(const std::function<void(std::size_t)>& job) {
+  /// index 0 — and returns once all of them have finished. `job` is called
+  /// through a reference, never copied. The mutex handoffs at dispatch and
+  /// join give the usual fork/join memory ordering: everything the caller
+  /// wrote before run() is visible to the workers, and everything the
+  /// workers wrote is visible to the caller after run().
+  template <typename Fn>
+  void run(Fn&& job) {
+    using F = std::remove_reference_t<Fn>;
+    const auto call = [](void* fn, std::size_t worker) {
+      (*static_cast<F*>(fn))(worker);
+    };
+    dispatch({call, const_cast<std::remove_const_t<F>*>(std::addressof(job))});
+  }
+
+ private:
+  /// A region's job: `call(fn, worker)` runs the caller's callable `fn`.
+  struct Job {
+    void (*call)(void* fn, std::size_t worker);
+    void* fn;
+  };
+
+  void dispatch(Job job) {
     if (threads_ == 1) {
-      job(0);
+      job.call(job.fn, 0);
       return;
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      job_ = &job;
+      job_ = job;
       remaining_ = threads_ - 1;
       ++generation_;
     }
     wake_cv_.notify_all();
-    job(0);
+    job.call(job.fn, 0);
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [this] { return remaining_ == 0; });
-    job_ = nullptr;
   }
 
- private:
   void worker_loop(std::size_t index) {
     std::uint64_t seen = 0;
     for (;;) {
-      const std::function<void(std::size_t)>* job = nullptr;
+      Job job{};
       {
         std::unique_lock<std::mutex> lock(mutex_);
         wake_cv_.wait(lock,
@@ -90,7 +110,7 @@ class ThreadPool {
         seen = generation_;
         job = job_;
       }
-      (*job)(index);
+      job.call(job.fn, index);
       {
         std::lock_guard<std::mutex> lock(mutex_);
         --remaining_;
@@ -104,26 +124,11 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable wake_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* job_ = nullptr;
+  Job job_{};
   std::uint64_t generation_ = 0;
   std::size_t remaining_ = 0;
   bool shutdown_ = false;
 };
-
-/// Runs `fn(worker, i)` for every i in [begin, end); workers claim one index
-/// per counter grab.
-template <typename Fn>
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  Fn&& fn) {
-  std::atomic<std::size_t> counter{begin};
-  pool.run([&](std::size_t worker) {
-    for (;;) {
-      const std::size_t i = counter.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) break;
-      fn(worker, i);
-    }
-  });
-}
 
 /// Runs `fn(worker, chunk_begin, chunk_end)` over [begin, end) in runs of
 /// `chunk` consecutive indices per counter grab.

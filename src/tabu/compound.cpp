@@ -62,7 +62,7 @@ Move commit_best_of_trials(cost::Evaluator& eval,
                            std::span<const netlist::CellId> movable,
                            const CellRange& range, std::size_t width, Rng& rng,
                            const FrequencyMemory* memory, bool use_memory,
-                           double* cost_out) {
+                           double* cost_out, CompoundStrategy* strategy) {
   PTS_CHECK(width >= 1);
   std::vector<cost::Move>& moves = trial_scratch().moves;
   moves.clear();
@@ -71,13 +71,17 @@ Move commit_best_of_trials(cost::Evaluator& eval,
     moves.push_back({move.a, move.b});
   }
   const std::size_t best =
-      commit_best_trial(eval, moves, memory, use_memory, cost_out);
+      strategy != nullptr
+          ? strategy->commit_best_trial(eval, moves, memory, use_memory,
+                                        cost_out)
+          : commit_best_trial(eval, moves, memory, use_memory, cost_out);
   return Move{moves[best].a, moves[best].b};
 }
 
 void build_compound_move(cost::Evaluator& eval, const CellRange& range,
                          const CompoundParams& params, Rng& rng,
-                         const FrequencyMemory* memory, CompoundMove* out) {
+                         const FrequencyMemory* memory, CompoundMove* out,
+                         CompoundStrategy* strategy) {
   PTS_CHECK(params.width >= 1);
   PTS_CHECK(params.depth >= 1);
   PTS_DCHECK(out != nullptr);
@@ -94,9 +98,9 @@ void build_compound_move(cost::Evaluator& eval, const CellRange& range,
   for (std::size_t level = 0; level < params.depth; ++level) {
     // Keep the level's best move (even if it degrades cost — that is what
     // lets the compound move escape local minima).
-    compound.swaps.push_back(commit_best_of_trials(eval, movable, range,
-                                                   params.width, rng, memory,
-                                                   use_memory, &compound.cost));
+    compound.swaps.push_back(commit_best_of_trials(
+        eval, movable, range, params.width, rng, memory, use_memory,
+        &compound.cost, strategy));
     if (params.early_accept && compound.cost < start_cost) {
       compound.improved_early = true;
       break;

@@ -48,26 +48,47 @@ std::size_t commit_best_trial(cost::Evaluator& eval,
                               const FrequencyMemory* memory, bool use_memory,
                               double* cost_out);
 
+/// How a compound level scores its sampled trials and commits the winner:
+/// the seam where the shared-memory engine substitutes probing on a thread
+/// pool for commit_best_trial(), which runs when no strategy is given. An
+/// implementation must return commit_best_trial()'s winner (first strict
+/// minimum in trial-index order) and leave the evaluator exactly as
+/// apply_swap(winner) would. Sampling stays in the caller, so RNG
+/// consumption cannot depend on the strategy — together these keep every
+/// TabuSearch guarantee (same-seed determinism, trace parity) independent
+/// of it.
+class CompoundStrategy {
+ public:
+  virtual ~CompoundStrategy() = default;
+  virtual std::size_t commit_best_trial(cost::Evaluator& eval,
+                                        std::span<const cost::Move> moves,
+                                        const FrequencyMemory* memory,
+                                        bool use_memory, double* cost_out) = 0;
+};
+
 /// Samples `width` trial pairs from (movable, range, rng) and commits the
-/// best through commit_best_trial; returns the committed swap and writes
-/// its cost to `*cost_out`. Shared by the compound and diversification
-/// trial loops; uses thread_local scratch, so steady state does not
-/// allocate.
+/// best through `strategy` (commit_best_trial when null); returns the
+/// committed swap and writes its cost to `*cost_out`. Shared by the
+/// compound and diversification trial loops; uses thread_local scratch, so
+/// steady state does not allocate.
 Move commit_best_of_trials(cost::Evaluator& eval,
                            std::span<const netlist::CellId> movable,
                            const CellRange& range, std::size_t width, Rng& rng,
                            const FrequencyMemory* memory, bool use_memory,
-                           double* cost_out);
+                           double* cost_out,
+                           CompoundStrategy* strategy = nullptr);
 
 /// Builds and applies a compound move on `eval`, sampling first cells from
 /// `range`, writing the applied swaps and final cost into `*out` (cleared
-/// first). Callers that run every iteration (TabuSearch) pass a reused
+/// first); each level commits through `strategy` (commit_best_trial when
+/// null). Callers that run every iteration (TabuSearch) pass a reused
 /// member buffer so the steady state does not allocate. When `memory` is
 /// non-null and active, per-level trial ranking uses the long-term
 /// frequency adjustment (true costs are still what the move reports).
 void build_compound_move(cost::Evaluator& eval, const CellRange& range,
                          const CompoundParams& params, Rng& rng,
-                         const FrequencyMemory* memory, CompoundMove* out);
+                         const FrequencyMemory* memory, CompoundMove* out,
+                         CompoundStrategy* strategy = nullptr);
 
 /// Convenience wrapper returning a fresh CompoundMove.
 CompoundMove build_compound_move(cost::Evaluator& eval, const CellRange& range,

@@ -67,8 +67,8 @@ bool TabuSearch::iterate(const CellRange& range) {
   const double cost_before = eval_->cost();
   // `move_scratch_` is reused across iterations so the steady-state loop
   // does not allocate (stress_test pins this at 50k gates).
-  strategy().build(*eval_, range, params_.compound, rng_, &frequency_,
-                   &move_scratch_);
+  build_compound_move(*eval_, range, params_.compound, rng_, &frequency_,
+                      &move_scratch_, strategy_);
   const CompoundMove& move = move_scratch_;
   // Each built level probed `width` trials (early accept skips the rest).
   stats_.trials += params_.compound.width * move.swaps.size();
@@ -77,7 +77,7 @@ bool TabuSearch::iterate(const CellRange& range) {
   if (compound_is_tabu(list_, move)) {
     const bool aspirated = params_.aspiration && move.cost < best_cost_;
     if (!aspirated) {
-      strategy().undo(*eval_, move);
+      undo_compound(*eval_, move);
       ++stats_.rejected_tabu;
       return false;
     }

@@ -82,30 +82,6 @@ bool compound_is_tabu(const TabuList& list, const CompoundMove& move);
 /// Records every constituent swap of an accepted compound move.
 void record_compound(TabuList& list, const CompoundMove& move);
 
-/// How TabuSearch::iterate builds (and, on tabu rejection, reverts) a
-/// compound move. The default forwards to build_compound_move /
-/// undo_compound; the shared-memory engine substitutes a strategy that
-/// evaluates each level's trials on a thread pool. Implementations must
-/// preserve the sequential contract bit for bit: identical RNG consumption
-/// order, identical winner per level (first strict minimum in trial index
-/// order), and an evaluator state after build/undo bit-identical to the
-/// sequential path — that is what keeps every TabuSearch guarantee
-/// (same-seed determinism, trace parity) independent of the strategy.
-class CompoundStrategy {
- public:
-  virtual ~CompoundStrategy() = default;
-
-  virtual void build(cost::Evaluator& eval, const CellRange& range,
-                     const CompoundParams& params, Rng& rng,
-                     const FrequencyMemory* memory, CompoundMove* out) {
-    build_compound_move(eval, range, params, rng, memory, out);
-  }
-
-  virtual void undo(cost::Evaluator& eval, const CompoundMove& move) {
-    undo_compound(eval, move);
-  }
-};
-
 class TabuSearch {
  public:
   /// The evaluator carries the current solution; the search mutates it.
@@ -157,18 +133,16 @@ class TabuSearch {
   /// exact trajectory the interrupted run would have produced.
   void restore(const State& st);
 
-  /// Overrides how iterate() builds/undoes compound moves (not owned; null
-  /// restores the default). See CompoundStrategy for the contract.
+  /// Overrides how iterate() scores and commits each compound level (not
+  /// owned; null restores tabu::commit_best_trial). A tabu-rejected move is
+  /// reverted with undo_compound whatever the strategy. See
+  /// CompoundStrategy (tabu/compound.hpp) for the contract.
   void set_compound_strategy(CompoundStrategy* strategy) {
     strategy_ = strategy;
   }
 
  private:
   void update_best();
-
-  CompoundStrategy& strategy() {
-    return strategy_ != nullptr ? *strategy_ : default_strategy_;
-  }
 
   cost::Evaluator* eval_;
   TabuParams params_;
@@ -181,7 +155,6 @@ class TabuSearch {
   std::vector<netlist::CellId> best_slots_;
   SearchStats stats_;
   CompoundMove move_scratch_;  ///< reused per-iteration move buffer
-  CompoundStrategy default_strategy_;
   CompoundStrategy* strategy_ = nullptr;  ///< not owned; null = default
 };
 

@@ -154,7 +154,6 @@ PathTimer::PathTimer(std::shared_ptr<const PathSet> paths,
     : paths_(std::move(paths)), model_(model) {
   PTS_CHECK(paths_ != nullptr);
   const_delay_ = paths_->const_delays();
-  peek_sum_.reserve(paths_->size());
   rebuild(hpwl);
 }
 
@@ -164,30 +163,17 @@ void PathTimer::apply_net_change(NetId net, double old_hpwl, double new_hpwl) {
   }
 }
 
-double PathTimer::peek_delta(std::span<const placement::NetChange> changes) {
-  peek_sum_.assign(wire_sum_.begin(), wire_sum_.end());
+double PathTimer::peek_delta(std::span<const placement::NetChange> changes,
+                             std::vector<double>& sums) const {
+  sums.assign(wire_sum_.begin(), wire_sum_.end());
   for (const auto& change : changes) {
     for (std::uint32_t p : paths_->paths_of_net(change.net)) {
-      peek_sum_[p] += change.new_hpwl - change.old_hpwl;
+      sums[p] += change.new_hpwl - change.old_hpwl;
     }
   }
   // Same reduction as max_delay(), against the scratch sums.
-  return max_path_delay(const_delay_, peek_sum_, model_);
+  return max_path_delay(const_delay_, sums, model_);
 }
-
-void PathTimer::peek_delta_batch(
-    std::span<const placement::NetChange> all_changes,
-    std::span<const std::uint32_t> offsets, std::span<double> out_delays) {
-  PTS_DCHECK(offsets.size() == out_delays.size() + 1);
-  for (std::size_t i = 0; i < out_delays.size(); ++i) {
-    PTS_DCHECK(offsets[i] <= offsets[i + 1] &&
-               offsets[i + 1] <= all_changes.size());
-    out_delays[i] =
-        peek_delta(all_changes.subspan(offsets[i], offsets[i + 1] - offsets[i]));
-  }
-}
-
-void PathTimer::commit_peek() { wire_sum_.swap(peek_sum_); }
 
 void PathTimer::rebuild(const placement::HpwlState& hpwl) {
   sum_path_wires(

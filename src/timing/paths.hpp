@@ -99,7 +99,9 @@ double fresh_max_delay(const PathSet& paths,
                        const DelayModel& model);
 
 /// Incrementally maintained per-path wire lengths and the resulting delay
-/// estimate. One instance per worker (cheap: O(K) doubles).
+/// estimate: part of an Evaluator's committed state (O(K) doubles). Probes
+/// peek through caller-owned sums, so the timer itself is read-only to
+/// them.
 class PathTimer {
  public:
   PathTimer(std::shared_ptr<const PathSet> paths, const placement::HpwlState& hpwl,
@@ -109,27 +111,19 @@ class PathTimer {
   void apply_net_change(netlist::NetId net, double old_hpwl, double new_hpwl);
 
   /// Probe counterpart of apply_net_change()+max_delay(): returns the delay
-  /// estimate that applying `changes` would produce, computed on a scratch
-  /// copy of the wire sums (committed sums untouched; no allocation once
-  /// the scratch reaches K doubles). Folds the changes in the exact order
+  /// estimate that applying `changes` would produce, computed in `sums` —
+  /// the caller's scratch, overwritten with the committed wire sums (no
+  /// allocation once it holds K doubles) — so peeks through distinct
+  /// scratch may run concurrently. Folds the changes in the exact order
   /// apply_net_change() would and maxes in max_delay()'s loop order, so the
-  /// result is bit-identical to the committed sequence.
-  double peek_delta(std::span<const placement::NetChange> changes);
+  /// result is bit-identical to the committed sequence. A net on no
+  /// monitored path is an exact no-op (no arithmetic at all).
+  double peek_delta(std::span<const placement::NetChange> changes,
+                    std::vector<double>& sums) const;
 
-  /// Batched peek_delta(): `all_changes` holds the concatenated NetChange
-  /// runs of N candidates, candidate i owning [offsets[i], offsets[i+1]);
-  /// `out_delays[i]` receives exactly what peek_delta(run_i) would return
-  /// (same scratch-copy, same fold order, same reduction — bit-identical).
-  /// offsets.size() must be out_delays.size() + 1. The scratch sums are
-  /// left holding the last run's, ready for commit_peek().
-  void peek_delta_batch(std::span<const placement::NetChange> all_changes,
-                        std::span<const std::uint32_t> offsets,
-                        std::span<double> out_delays);
-
-  /// Promotes the scratch sums of the immediately preceding peek_delta()
-  /// (or of the last run of peek_delta_batch()). Only valid directly after
-  /// it with no intervening mutation.
-  void commit_peek();
+  /// Promotes `sums` as the immediately preceding peek_delta() left them.
+  /// Only valid directly after it with no intervening mutation.
+  void commit_peek(std::vector<double>& sums) { wire_sum_.swap(sums); }
 
   /// Re-derives all wire sums from `hpwl` (drift control / after rebuild).
   void rebuild(const placement::HpwlState& hpwl);
@@ -159,7 +153,6 @@ class PathTimer {
   std::span<const double> const_delay_;  // flat view into *paths_
   DelayModel model_;
   std::vector<double> wire_sum_;
-  std::vector<double> peek_sum_;  // scratch for peek_delta/commit_peek
 };
 
 }  // namespace pts::timing

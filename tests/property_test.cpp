@@ -10,16 +10,19 @@
 //     guarantees (exact gate/PI counts, >= requested POs, acyclic).
 //  2. Probe/commit: Evaluator::probe_swap is bit-identical to apply_swap
 //     along a random committed walk (DESIGN.md §3).
-//  3. Incremental HPWL: probe_nets_batch over overlay-staged shadow arrays
-//     == update_nets after the real swap, delta-for-delta, change-for-change
-//     and box-for-box; the running total tracks a from-scratch recompute,
-//     and rebuild() lands exactly on the fresh total.
+//  3. Incremental HPWL: probe_nets_batch over the overlay's staged moved
+//     positions == update_nets after the real swap, delta-for-delta,
+//     change-for-change and box-for-box; the running total tracks a
+//     from-scratch recompute, and rebuild() lands exactly on the fresh
+//     total.
 //  4. Timing: PathTimer::peek_delta equals the committed
 //     apply_net_change/max_delay sequence bit for bit.
 //  5. Batched probing: every probe_batch candidate equals apply_swap, and
 //     committing the winner — promoted as the pending last candidate or
 //     applied as an earlier one — keeps lockstep with an apply-only twin,
-//     also when the pending candidate is the winner's reversed duplicate.
+//     also when the pending candidate is the winner's reversed duplicate;
+//     three threads probing one Evaluator through their own scratches get
+//     its own probe_batch's costs, and leave its pending probe committable.
 //  6. Checkpoint/resume equals the uninterrupted run.
 //  7. The runner-up probe kernel: probe_nets_batch + commit_probe (x
 //     runner-ups advanced incrementally) stays in lockstep with
@@ -221,13 +224,13 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
     const auto paths = timing::extract_critical_paths(nl, 24, model);
     timing::PathTimer timer(paths, hpwl, model);
     placement::NetMarker marker(nl.num_nets());
+    placement::MovedPositions staged(nl.num_cells());
     placement::ProbedNets probed;
     std::vector<placement::NetChange> probe_changes;
     std::vector<placement::NetChange> apply_changes;
     std::vector<CellId> overlay_moved;
     std::vector<CellId> moved;
-    std::vector<double> xs;
-    std::vector<double> ys;
+    std::vector<double> peek_sums;
 
     Rng rng(config.seed ^ 0xC4C4ULL);
     const auto& movable = nl.movable_cells();
@@ -236,28 +239,21 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
       const CellId a = movable[ia];
       const CellId b = movable[ib];
 
-      // Stage the would-be geometry into shadow copies of the committed
-      // positions, the way Evaluator::probe_batch does, and probe the nets
-      // the moved cells touch.
-      const auto px = placement.positions_x();
+      // Stage the would-be positions of the moved cells, the way
+      // Evaluator::probe_batch does, and probe the nets they touch.
       const auto py = placement.positions_y();
-      xs.assign(px.begin(), px.end());
-      ys.assign(py.begin(), py.end());
       overlay_moved.clear();
       const placement::SwapOverlay ov =
           placement::build_swap_overlay(placement, a, b, &overlay_moved);
       marker.begin();
       for (CellId cell : overlay_moved) marker.add_nets_of(nl, cell);
-      for (CellId cell : overlay_moved) {
-        placement::overlaid_position(ov, cell, px[cell], py[cell], &xs[cell],
-                                     &ys[cell]);
-      }
+      placement::stage_moved(placement, ov, overlay_moved, &staged);
       const placement::RowMovers movers =
           py[a] != py[b] ? placement::RowMovers{a, b} : placement::RowMovers{};
       probe_changes.clear();
       const double probed_delta = hpwl.probe_nets_batch(
-          xs, ys, marker, movers, &probe_changes, &probed);
-      const double peeked = timer.peek_delta(probe_changes);
+          staged, marker, movers, &probe_changes, &probed);
+      const double peeked = timer.peek_delta(probe_changes, peek_sums);
 
       // Commit the real swap over the same nets; the probe's delta, per-net
       // changes, boxes and peeked delay must equal the committed sequence
@@ -410,8 +406,8 @@ TEST(PropertyFuzz, ProbeBatchMatchesApplyBitForBit) {
 // A batch of one pair followed by its reversed duplicate, repeated. Both
 // orientations usually score the same, so the pair wins the
 // first-strict-min tie while a reversed probe is the pending one — on the
-// sequential loop's evaluator, and on the parallel-shared coordinator
-// whichever chunks its thread claimed. Both loops must still land on
+// sequential loop's evaluator, and in the parallel-shared threads'
+// scratches whichever chunks they claimed. Both loops must still land on
 // apply_swap(winner) exactly. The two orientations fold the same net
 // changes into the path sums in different orders, so promoting the pending
 // probe would leave the sums an ulp off wherever that order matters. Pairs
@@ -423,27 +419,22 @@ TEST(PropertyFuzz, ReversedDuplicateWinnerIsAppliedNotPromoted) {
     SCOPED_TRACE(config.name + " gates=" + std::to_string(config.num_gates));
     const Netlist nl = netlist::generate_circuit(config);
     const placement::Layout layout(nl);
-    // One solution under five evaluators: the sequential loop's, the
-    // parallel-shared coordinator at one thread, the coordinator and two
-    // replicas at three threads, and an apply-only twin.
+    // One solution under four evaluators: the sequential loop's, the
+    // parallel-shared coordinator probed by one thread and by three, and an
+    // apply-only twin.
     const std::uint64_t seed = config.seed ^ 0x2E5EULL;
     auto sequential = make_eval(nl, layout, seed);
     auto applying = make_eval(nl, layout, seed);
-    std::vector<std::unique_ptr<cost::Evaluator>> shared_evals;
-    for (int i = 0; i < 4; ++i) {
-      shared_evals.push_back(make_eval(nl, layout, seed));
-    }
+    auto shared_one_eval = make_eval(nl, layout, seed);
+    auto shared_three_eval = make_eval(nl, layout, seed);
     ThreadPool pool_one(1);
     ThreadPool pool_three(3);
-    parallel::SharedCompoundStrategy shared_one(pool_one, {shared_evals[0].get()},
-                                                /*chunk=*/1);
-    parallel::SharedCompoundStrategy shared_three(
-        pool_three,
-        {shared_evals[1].get(), shared_evals[2].get(), shared_evals[3].get()},
-        /*chunk=*/1);
+    parallel::SharedCompoundStrategy shared_one(pool_one, *shared_one_eval);
+    parallel::SharedCompoundStrategy shared_three(pool_three,
+                                                  *shared_three_eval);
     const std::pair<parallel::SharedCompoundStrategy*, cost::Evaluator*>
-        coordinators[] = {{&shared_one, shared_evals[0].get()},
-                          {&shared_three, shared_evals[1].get()}};
+        coordinators[] = {{&shared_one, shared_one_eval.get()},
+                          {&shared_three, shared_three_eval.get()}};
 
     const cost::CostParams params;
     const auto paths =
@@ -490,7 +481,8 @@ TEST(PropertyFuzz, ReversedDuplicateWinnerIsAppliedNotPromoted) {
 
       for (const auto& [strategy, coordinator] : coordinators) {
         double shared_committed = 0.0;
-        ASSERT_EQ(strategy->commit_best_trial(batch, /*memory=*/nullptr,
+        ASSERT_EQ(strategy->commit_best_trial(*coordinator, batch,
+                                              /*memory=*/nullptr,
                                               /*use_memory=*/false,
                                               &shared_committed),
                   winner);
@@ -505,6 +497,78 @@ TEST(PropertyFuzz, ReversedDuplicateWinnerIsAppliedNotPromoted) {
   EXPECT_GT(order_sensitive, 0u)
       << "no pair whose orientation changes the path sums: the case above "
          "went untested";
+}
+
+// Three threads probe one Evaluator at once, each through its own
+// ProbeScratch. Every cost must equal, bit for bit, what the evaluator's
+// own probe_batch returned for the same batch, and the pending probe the
+// evaluator held before the threads ran must still commit to exactly an
+// apply-only twin's state. Circuits up to 600 gates only, so the property
+// stays seconds-long under TSan.
+TEST(PropertyFuzz, ConcurrentScratchProbesMatchOwnProbeBatch) {
+  constexpr std::size_t kThreads = 3;
+  constexpr std::size_t kBatchesPerThread = 4;
+  std::size_t circuits = 0;
+  for (const GeneratorConfig& config : fuzz_configs()) {
+    if (config.num_gates > 600) continue;
+    ++circuits;
+    SCOPED_TRACE(config.name + " gates=" + std::to_string(config.num_gates));
+    const Netlist nl = netlist::generate_circuit(config);
+    const placement::Layout layout(nl);
+    const std::uint64_t seed = config.seed ^ 0xC0C0ULL;
+    auto eval = make_eval(nl, layout, seed);
+    auto twin = make_eval(nl, layout, seed);
+    ThreadPool pool(kThreads);
+    std::vector<cost::ProbeScratch> scratches;
+    for (std::size_t t = 0; t < kThreads; ++t) scratches.emplace_back(*eval);
+
+    const auto& movable = nl.movable_cells();
+    Rng rng(config.seed ^ 0xC1C1ULL);
+    const std::size_t num_batches = kThreads * kBatchesPerThread;
+    std::vector<std::vector<cost::Move>> batches(num_batches);
+    std::vector<std::vector<double>> expected(num_batches);
+    std::vector<std::vector<double>> got(num_batches);
+    for (int round = 0; round < 8; ++round) {
+      for (std::size_t j = 0; j < num_batches; ++j) {
+        const auto width = static_cast<std::size_t>(rng.between(1, 12));
+        batches[j].clear();
+        for (std::size_t w = 0; w < width; ++w) {
+          const auto [ia, ib] = rng.distinct_pair(movable.size());
+          batches[j].push_back({movable[ia], movable[ib]});
+        }
+        expected[j].assign(width, 0.0);
+        eval->probe_batch(batches[j], expected[j]);
+        got[j].assign(width, -1.0);
+      }
+      const auto [ia, ib] = rng.distinct_pair(movable.size());
+      const cost::Move pending{movable[ia], movable[ib]};
+      const double pending_cost = eval->probe_swap(pending.a, pending.b);
+
+      const cost::Evaluator& committed_state = *eval;
+      pool.run([&](std::size_t t) {
+        for (std::size_t k = 0; k < kBatchesPerThread; ++k) {
+          const std::size_t j = t * kBatchesPerThread + k;
+          committed_state.probe_batch(batches[j], got[j], scratches[t]);
+        }
+      });
+      for (std::size_t j = 0; j < num_batches; ++j) {
+        for (std::size_t i = 0; i < got[j].size(); ++i) {
+          ASSERT_EQ(got[j][i], expected[j][i])
+              << "round " << round << " batch " << j << " candidate " << i;
+        }
+      }
+
+      const double committed = eval->commit_probe();
+      ASSERT_EQ(committed, pending_cost) << "round " << round;
+      ASSERT_EQ(committed, twin->apply_swap(pending.a, pending.b))
+          << "round " << round;
+      ASSERT_EQ(eval->hpwl().total(), twin->hpwl().total());
+      ASSERT_TRUE(eval->placement() == twin->placement());
+      ASSERT_EQ(eval->checkpoint().wire_sums, twin->checkpoint().wire_sums)
+          << "round " << round;
+    }
+  }
+  EXPECT_GE(circuits, 3u);
 }
 
 // -- property 7: the runner-up kernel == update_nets, in lockstep ----------
@@ -536,6 +600,7 @@ WalkCoverage lockstep_walk(
   placement::HpwlState kernel(kernel_place);
   placement::HpwlState reference(reference_place);
   placement::NetMarker marker(nl.num_nets());
+  placement::MovedPositions staged(nl.num_cells());
   placement::ProbedNets probed;
   std::vector<placement::NetChange> probe_changes;
   std::vector<placement::NetChange> apply_changes;
@@ -547,17 +612,12 @@ WalkCoverage lockstep_walk(
     const auto [a, b] = swaps[i];
     const auto px = kernel_place.positions_x();
     const auto py = kernel_place.positions_y();
-    std::vector<double> xs(px.begin(), px.end());
-    std::vector<double> ys(py.begin(), py.end());
     moved.clear();
     const placement::SwapOverlay ov =
         placement::build_swap_overlay(kernel_place, a, b, &moved);
     marker.begin();
     for (CellId cell : moved) marker.add_nets_of(nl, cell);
-    for (CellId cell : moved) {
-      placement::overlaid_position(ov, cell, px[cell], py[cell], &xs[cell],
-                                   &ys[cell]);
-    }
+    placement::stage_moved(kernel_place, ov, moved, &staged);
     const bool cross = py[a] != py[b];
     (cross ? cov.cross_row : cov.same_row) += 1;
     const placement::RowMovers movers =
@@ -587,8 +647,8 @@ WalkCoverage lockstep_walk(
     cov.shared_net += shared ? 1 : 0;
 
     probe_changes.clear();
-    const double delta = kernel.probe_nets_batch(xs, ys, marker, movers,
-                                                 &probe_changes, &probed);
+    const double delta =
+        kernel.probe_nets_batch(staged, marker, movers, &probe_changes, &probed);
     kernel_place.swap_cells(a, b);
     kernel.commit_probe(nets, probed, delta);
 

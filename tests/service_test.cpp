@@ -236,6 +236,8 @@ TEST(Codec, RetiredBatchMembersAreUnknownKeys) {
        "spec.tabu.compound: unknown key 'batch'"},
       {R"({"circuit":"highway","parallel":{"diversify":{"batch":8}}})",
        "spec.parallel.diversify: unknown key 'batch'"},
+      {R"({"circuit":"highway","shared":{"chunk":0}})",
+       "spec.shared: unknown key 'chunk'"},
   };
   for (const auto& [text, expected] : cases) {
     std::string error;

@@ -6,10 +6,11 @@
 //     DESIGN.md §2 statistics contract for the scale families).
 //  2. Every engine completes a short run on it through the solver front
 //     door and never reports a best worse than the start.
-//  3. The probe/commit hot loop and the diversification step stay
-//     allocation-free in steady state at scale (same counting-operator-new
-//     guard topology_test pins at c532 — scratch sizing that silently
-//     assumed paper-sized circuits would fail here).
+//  3. The probe/commit hot loop, the diversification step and compound
+//     levels (sequential, and parallel-shared at one and three threads)
+//     stay allocation-free in steady state at scale (same
+//     counting-operator-new guard topology_test pins at c532 — scratch
+//     sizing that silently assumed paper-sized circuits would fail here).
 //
 // Budgets are deliberately tiny: the tier proves "correct and fast at
 // scale", not converged quality, and it must stay seconds-long even in
@@ -27,7 +28,9 @@
 #include "experiments/workloads.hpp"
 #include "netlist/analysis.hpp"
 #include "netlist/benchmarks.hpp"
+#include "parallel/shared_engine.hpp"
 #include "solver/solver.hpp"
+#include "support/parallel_for.hpp"
 #include "tabu/compound.hpp"
 #include "tabu/diversify.hpp"
 
@@ -159,19 +162,28 @@ TEST(Stress, DiversifyAndCompoundBuffersAllocationFreeAt50k) {
   tabu::DiversifyParams div_params;
   tabu::CompoundParams comp_params;
   Rng rng(29);
+  // parallel-shared's compound levels at one and three threads: one
+  // parallel region per level, probing through per-thread scratch.
+  ThreadPool pool_one(1);
+  ThreadPool pool_three(3);
+  parallel::SharedCompoundStrategy shared_one(pool_one, *eval);
+  parallel::SharedCompoundStrategy shared_three(pool_three, *eval);
 
   std::vector<tabu::Move> div_scratch;
   tabu::CompoundMove comp_scratch;
-  tabu::diversify(*eval, range, div_params, rng, &div_scratch);  // warm-up
-  tabu::build_compound_move(*eval, range, comp_params, rng, nullptr,
-                            &comp_scratch);
-
-  const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 25; ++i) {
+  const auto round = [&] {
     tabu::diversify(*eval, range, div_params, rng, &div_scratch);
     tabu::build_compound_move(*eval, range, comp_params, rng, nullptr,
                               &comp_scratch);
-  }
+    tabu::build_compound_move(*eval, range, comp_params, rng, nullptr,
+                              &comp_scratch, &shared_one);
+    tabu::build_compound_move(*eval, range, comp_params, rng, nullptr,
+                              &comp_scratch, &shared_three);
+  };
+  round();  // warm-up
+
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 25; ++i) round();
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << "diversify/compound allocated in steady state at 50k gates";
