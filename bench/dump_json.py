@@ -4,7 +4,9 @@
 Runs `micro_core --smoke --benchmark_format=json`, extracts the probe
 throughput benches (BM_ProbeSwap / BM_ApplySwap / BM_ProbeBatch{4,8,16,32})
 keyed by circuit, and writes a small JSON file with ns per candidate per
-bench plus the batch8-vs-width-1 probe speedup per circuit. With --macro it
+bench plus the batch8-vs-width-1 probe speedup per circuit, and the result
+codec benches (BM_EncodeResult / BM_DecodeResult at 10k and 50k slots) in
+microseconds per call. With --macro it
 additionally runs `macro_scale --smoke` and folds its per-circuit scale
 report (build/setup/probe times, the layer-by-layer probe profile, the
 short engine runs, and the parallel-shared strong-scaling counters at
@@ -36,6 +38,11 @@ import sys
 
 TRACKED_PREFIXES = ("BM_ProbeSwap", "BM_ApplySwap", "BM_ProbeBatch4",
                     "BM_ProbeBatch8", "BM_ProbeBatch16", "BM_ProbeBatch32")
+
+# The served-result JSON codec, per result size (slots): microseconds per
+# encode_result / decode_result call.
+CODEC_BENCHES = ("BM_EncodeResult", "BM_DecodeResult")
+CODEC_SLOTS = ("10000", "50000")
 
 # One BM_ProbeBatchN iteration scores N candidates; real_time is divided by
 # the width so every tracked number is ns per candidate, comparable with
@@ -71,7 +78,7 @@ def run_micro(binary):
         binary,
         "--smoke",
         "--benchmark_format=json",
-        "--benchmark_filter=" + "|".join(TRACKED_PREFIXES),
+        "--benchmark_filter=" + "|".join(TRACKED_PREFIXES + CODEC_BENCHES),
     ]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True)
     return json.loads(out.stdout)
@@ -108,6 +115,26 @@ def parse_micro(raw):
             if not ns > 0:
                 fail(f"{bench}/{circuit} reported non-positive time {ns}")
     return benches
+
+
+def parse_codec(raw):
+    """Codec benches as {bench: {slots: us per call}}; all must be present."""
+    codec = {}
+    for entry in raw.get("benchmarks", []):
+        bench, _, slots = entry["name"].partition("/")
+        if bench not in CODEC_BENCHES:
+            continue
+        if entry.get("time_unit") != "us" or "real_time" not in entry:
+            fail(f"codec bench {entry['name']} has no real_time in us")
+        codec.setdefault(bench, {})[slots] = round(entry["real_time"], 1)
+    for bench in CODEC_BENCHES:
+        missing = [s for s in CODEC_SLOTS if s not in codec.get(bench, {})]
+        if missing:
+            fail(f"codec bench {bench} missing slot counts {missing}")
+        for slots, us in codec[bench].items():
+            if not us > 0:
+                fail(f"{bench}/{slots} reported non-positive time {us}")
+    return codec
 
 
 def run_macro(binary):
@@ -201,6 +228,7 @@ def main():
 
     raw = run_micro(args.binary)
     benches = parse_micro(raw)
+    codec = parse_codec(raw)
 
     batch_speedup = {}
     swap = benches["BM_ProbeSwap"]
@@ -214,6 +242,7 @@ def main():
         "context": raw.get("context", {}),
         "benchmarks": benches,
         "probe_batch_speedup": batch_speedup,
+        "codec_us": codec,
     }
     if args.macro:
         result["macro_scale"] = run_macro(args.macro)
@@ -222,6 +251,9 @@ def main():
         f.write("\n")
     print(f"wrote {args.output}: batch8-vs-width-1 probe speedup "
           f"{batch_speedup}")
+    print("  result codec us per call: " + ", ".join(
+        f"{bench[3:]} {slots} slots {us}"
+        for bench in CODEC_BENCHES for slots, us in sorted(codec[bench].items())))
     if args.macro:
         for circuit, entry in sorted(result["macro_scale"].items()):
             scaling = entry["shared_scaling"]

@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the search inner loop: swap
-// evaluation, compound construction, HPWL/STA rebuilds, message codec, and
-// one simulated local iteration. Not a paper figure — engineering data for
-// the ablation discussion in DESIGN.md.
+// evaluation, compound construction, HPWL/STA rebuilds, message codec, the
+// served-result JSON codec, and one simulated local iteration. Not a paper
+// figure — engineering data for the ablation discussion in DESIGN.md.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -11,6 +11,7 @@
 #include "experiments/workloads.hpp"
 #include "parallel/protocol.hpp"
 #include "parallel/worker_logic.hpp"
+#include "service/codec.hpp"
 #include "tabu/compound.hpp"
 #include "timing/sta.hpp"
 
@@ -194,6 +195,61 @@ void BM_MessageRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n * 4));
 }
 BENCHMARK(BM_MessageRoundTrip)->Arg(56)->Arg(395)->Arg(2243);
+
+/// A result shaped like a served scale-tier solve: `cells` slots holding a
+/// shuffled permutation, and full-precision traces of a 200-iteration run.
+solver::SolveResult scale_result(std::size_t cells) {
+  solver::SolveResult r;
+  r.engine = "tabu";
+  Rng rng(cells);
+  r.best_slots.resize(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    r.best_slots[i] = static_cast<netlist::CellId>(i);
+  }
+  for (std::size_t i = cells; i > 1; --i) {
+    std::swap(r.best_slots[i - 1], r.best_slots[rng.below(i)]);
+  }
+  r.initial_cost = 0.9 + 0.1 * rng.uniform();
+  r.best_cost = 0.5 * rng.uniform();
+  r.best_quality = 1.0 - r.best_cost;
+  r.best_objectives = {1e6 * rng.uniform(), 1e3 * rng.uniform(), 0.0};
+  for (Series* s : {&r.cost_trace, &r.best_trace, &r.best_vs_time}) {
+    for (std::size_t i = 0; i < 200; ++i) {
+      s->add(static_cast<double>(i), rng.uniform());
+    }
+  }
+  r.iterations = r.stats.iterations = 200;
+  r.makespan = rng.uniform();
+  return r;
+}
+
+void BM_EncodeResult(benchmark::State& state) {
+  const auto result = scale_result(static_cast<std::size_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = service::encode_result(result);
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+  state.SetLabel(std::to_string(state.range(0)) + " slots");
+}
+BENCHMARK(BM_EncodeResult)->Arg(10000)->Arg(50000)->Unit(benchmark::kMicrosecond);
+
+void BM_DecodeResult(benchmark::State& state) {
+  const std::string text = service::encode_result(
+      scale_result(static_cast<std::size_t>(state.range(0))));
+  std::string error;
+  for (auto _ : state) {
+    const auto back = service::decode_result(text, &error);
+    if (!back) state.SkipWithError(error.c_str());
+    benchmark::DoNotOptimize(back->best_slots.data());
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * text.size()));
+  state.SetLabel(std::to_string(state.range(0)) + " slots");
+}
+BENCHMARK(BM_DecodeResult)->Arg(10000)->Arg(50000)->Unit(benchmark::kMicrosecond);
 
 void BM_SimFullSearch(benchmark::State& state) {
   const auto& nl = circuit_for(static_cast<int>(state.range(0)));

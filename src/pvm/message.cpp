@@ -108,7 +108,7 @@ void Message::expect_marker(Marker m) {
   ++cursor_;
 }
 
-void Message::pack_string(const std::string& s) {
+void Message::pack_string(std::string_view s) {
   put_marker(Marker::Str);
   const auto n = static_cast<std::uint64_t>(s.size());
   put_raw(&n, sizeof(n));

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/check.hpp"
@@ -78,7 +79,7 @@ class Message {
   void pack_u32(std::uint32_t v) { pack_scalar(Marker::U32, v); }
   void pack_double(double v) { pack_scalar(Marker::F64, v); }
   void pack_bool(bool v) { pack_scalar(Marker::Bool, static_cast<std::uint8_t>(v)); }
-  void pack_string(const std::string& s);
+  void pack_string(std::string_view s);
   void pack_u32_vector(const std::vector<std::uint32_t>& v);
   void pack_double_vector(const std::vector<double>& v);
 

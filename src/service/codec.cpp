@@ -6,8 +6,6 @@ namespace pts::service {
 
 namespace {
 
-using json::Value;
-
 // -- stop reason ------------------------------------------------------------
 
 bool stop_reason_from_name(const std::string& name, StopReason& out) {
@@ -23,95 +21,104 @@ bool stop_reason_from_name(const std::string& name, StopReason& out) {
   return false;
 }
 
-}  // namespace
-
 // -- spec -------------------------------------------------------------------
 
-json::Value spec_to_json(const JobRequest& job) {
+void write_spec(json::Writer& out, const JobRequest& job, double deadline) {
   const solver::SolveSpec& spec = job.spec;
-  Value out = Value::object();
-  out.set("circuit", Value(job.circuit));
-  out.set("engine", Value(spec.engine));
-  out.set("seed", Value(static_cast<double>(spec.seed)));
-  out.set("deadline_seconds", Value(job.deadline_seconds));
+  out.begin_object();
+  out.key("circuit").string(job.circuit);
+  out.key("engine").string(spec.engine);
+  out.key("seed").number(static_cast<double>(spec.seed));
+  out.key("deadline_seconds").number(deadline);
   if (!spec.initial_slots.empty()) {
     // Warm start (ECO mode): omitted when empty so pre-existing encodings
     // stay byte-stable.
-    out.set("initial_slots", uints_to_json(spec.initial_slots));
+    write_uints(out.key("initial_slots"), spec.initial_slots);
   }
 
-  Value cost = Value::object();
-  cost.set("num_paths", Value(static_cast<double>(spec.cost.num_paths)));
-  cost.set("target_improvement", Value(spec.cost.target_improvement));
-  cost.set("initial_membership", Value(spec.cost.initial_membership));
-  cost.set("beta", Value(spec.cost.beta));
-  cost.set("rebuild_interval", Value(static_cast<double>(spec.cost.rebuild_interval)));
-  out.set("cost", std::move(cost));
+  out.key("cost").begin_object();
+  out.key("num_paths").number(static_cast<double>(spec.cost.num_paths));
+  out.key("target_improvement").number(spec.cost.target_improvement);
+  out.key("initial_membership").number(spec.cost.initial_membership);
+  out.key("beta").number(spec.cost.beta);
+  out.key("rebuild_interval")
+      .number(static_cast<double>(spec.cost.rebuild_interval));
+  out.end_object();
 
-  Value compound = Value::object();
-  compound.set("width", Value(static_cast<double>(spec.tabu.compound.width)));
-  compound.set("depth", Value(static_cast<double>(spec.tabu.compound.depth)));
-  compound.set("early_accept", Value(spec.tabu.compound.early_accept));
-  Value tabu = Value::object();
-  tabu.set("tenure", Value(static_cast<double>(spec.tabu.tenure)));
-  tabu.set("iterations", Value(static_cast<double>(spec.tabu.iterations)));
-  tabu.set("aspiration", Value(spec.tabu.aspiration));
-  tabu.set("trace_stride", Value(static_cast<double>(spec.tabu.trace_stride)));
-  tabu.set("compound", std::move(compound));
-  out.set("tabu", std::move(tabu));
+  out.key("tabu").begin_object();
+  out.key("tenure").number(static_cast<double>(spec.tabu.tenure));
+  out.key("iterations").number(static_cast<double>(spec.tabu.iterations));
+  out.key("aspiration").boolean(spec.tabu.aspiration);
+  out.key("trace_stride").number(static_cast<double>(spec.tabu.trace_stride));
+  out.key("compound").begin_object();
+  out.key("width").number(static_cast<double>(spec.tabu.compound.width));
+  out.key("depth").number(static_cast<double>(spec.tabu.compound.depth));
+  out.key("early_accept").boolean(spec.tabu.compound.early_accept);
+  out.end_object();
+  out.end_object();
 
-  Value anneal = Value::object();
-  anneal.set("initial_acceptance", Value(spec.anneal.initial_acceptance));
-  anneal.set("cooling", Value(spec.anneal.cooling));
-  anneal.set("moves_per_temp", Value(static_cast<double>(spec.anneal.moves_per_temp)));
-  anneal.set("final_temp_ratio", Value(spec.anneal.final_temp_ratio));
-  anneal.set("trace_stride", Value(static_cast<double>(spec.anneal.trace_stride)));
-  out.set("anneal", std::move(anneal));
+  out.key("anneal").begin_object();
+  out.key("initial_acceptance").number(spec.anneal.initial_acceptance);
+  out.key("cooling").number(spec.anneal.cooling);
+  out.key("moves_per_temp")
+      .number(static_cast<double>(spec.anneal.moves_per_temp));
+  out.key("final_temp_ratio").number(spec.anneal.final_temp_ratio);
+  out.key("trace_stride").number(static_cast<double>(spec.anneal.trace_stride));
+  out.end_object();
 
-  Value local = Value::object();
-  local.set("candidates_per_iteration",
-            Value(static_cast<double>(spec.local.candidates_per_iteration)));
-  local.set("patience", Value(static_cast<double>(spec.local.patience)));
-  local.set("max_iterations", Value(static_cast<double>(spec.local.max_iterations)));
-  local.set("trace_stride", Value(static_cast<double>(spec.local.trace_stride)));
-  out.set("local", std::move(local));
+  out.key("local").begin_object();
+  out.key("candidates_per_iteration")
+      .number(static_cast<double>(spec.local.candidates_per_iteration));
+  out.key("patience").number(static_cast<double>(spec.local.patience));
+  out.key("max_iterations")
+      .number(static_cast<double>(spec.local.max_iterations));
+  out.key("trace_stride").number(static_cast<double>(spec.local.trace_stride));
+  out.end_object();
 
-  Value diversify = Value::object();
-  diversify.set("depth", Value(static_cast<double>(spec.parallel.diversify.depth)));
-  diversify.set("width", Value(static_cast<double>(spec.parallel.diversify.width)));
-  diversify.set("enabled", Value(spec.parallel.diversify.enabled));
-  Value parallel = Value::object();
-  parallel.set("num_tsws", Value(static_cast<double>(spec.parallel.num_tsws)));
-  parallel.set("clws_per_tsw", Value(static_cast<double>(spec.parallel.clws_per_tsw)));
-  parallel.set("local_iterations",
-               Value(static_cast<double>(spec.parallel.local_iterations)));
-  parallel.set("global_iterations",
-               Value(static_cast<double>(spec.parallel.global_iterations)));
-  parallel.set("diversify", std::move(diversify));
-  out.set("parallel", std::move(parallel));
+  out.key("parallel").begin_object();
+  out.key("num_tsws").number(static_cast<double>(spec.parallel.num_tsws));
+  out.key("clws_per_tsw")
+      .number(static_cast<double>(spec.parallel.clws_per_tsw));
+  out.key("local_iterations")
+      .number(static_cast<double>(spec.parallel.local_iterations));
+  out.key("global_iterations")
+      .number(static_cast<double>(spec.parallel.global_iterations));
+  out.key("diversify").begin_object();
+  out.key("depth").number(static_cast<double>(spec.parallel.diversify.depth));
+  out.key("width").number(static_cast<double>(spec.parallel.diversify.width));
+  out.key("enabled").boolean(spec.parallel.diversify.enabled);
+  out.end_object();
+  out.end_object();
 
-  Value shared = Value::object();
-  shared.set("threads", Value(static_cast<double>(spec.shared.threads)));
-  out.set("shared", std::move(shared));
+  out.key("shared").begin_object();
+  out.key("threads").number(static_cast<double>(spec.shared.threads));
+  out.end_object();
 
-  Value stop = Value::object();
-  stop.set("max_iterations", Value(static_cast<double>(spec.stop.max_iterations)));
-  stop.set("max_seconds", Value(spec.stop.max_seconds));
-  stop.set("target_cost", spec.stop.target_cost ? Value(*spec.stop.target_cost)
-                                                : Value());
-  stop.set("target_quality",
-           spec.stop.target_quality ? Value(*spec.stop.target_quality) : Value());
-  out.set("stop", std::move(stop));
-  return out;
+  out.key("stop").begin_object();
+  out.key("max_iterations").number(static_cast<double>(spec.stop.max_iterations));
+  out.key("max_seconds").number(spec.stop.max_seconds);
+  out.key("target_cost").optional_number(spec.stop.target_cost);
+  out.key("target_quality").optional_number(spec.stop.target_quality);
+  out.end_object();
+  out.end_object();
 }
 
-std::optional<JobRequest> spec_from_json(const json::Value& value,
-                                         std::string* error) {
+}  // namespace
+
+std::string encode_spec(const JobRequest& job) {
+  std::string text;
+  json::Writer out(text);
+  write_spec(out, job, job.deadline_seconds);
+  return text;
+}
+
+std::optional<JobRequest> decode_spec(std::string_view text, std::string* error) {
+  if (!json::validate(text, error)) return std::nullopt;
   std::string err;
   JobRequest job;
   solver::SolveSpec& spec = job.spec;
 
-  ObjectReader reader(value, "spec", err);
+  ObjectReader reader(json::Node::root(text), "spec", err);
   reader.read_string("circuit", job.circuit);
   reader.read_string("engine", spec.engine);
   reader.read_uint("seed", spec.seed);
@@ -191,34 +198,38 @@ std::optional<JobRequest> spec_from_json(const json::Value& value,
 
 // -- result -----------------------------------------------------------------
 
-json::Value result_to_json(const solver::SolveResult& result) {
-  Value out = Value::object();
-  out.set("engine", Value(result.engine));
-  out.set("initial_cost", Value(result.initial_cost));
-  out.set("best_cost", Value(result.best_cost));
-  out.set("best_quality", Value(result.best_quality));
+std::string encode_result(const solver::SolveResult& result) {
+  std::string text;
+  json::Writer out(text);
+  out.begin_object();
+  out.key("engine").string(result.engine);
+  out.key("initial_cost").number(result.initial_cost);
+  out.key("best_cost").number(result.best_cost);
+  out.key("best_quality").number(result.best_quality);
 
-  out.set("best_objectives", objectives_to_json(result.best_objectives));
-  out.set("best_slots", uints_to_json(result.best_slots));
-  out.set("cost_trace", series_to_json(result.cost_trace));
-  out.set("best_trace", series_to_json(result.best_trace));
-  out.set("best_vs_time", series_to_json(result.best_vs_time));
-  out.set("best_vs_global", series_to_json(result.best_vs_global));
-  out.set("stats", stats_to_json(result.stats));
+  write_objectives(out.key("best_objectives"), result.best_objectives);
+  write_uints(out.key("best_slots"), result.best_slots);
+  write_series(out.key("cost_trace"), result.cost_trace);
+  write_series(out.key("best_trace"), result.best_trace);
+  write_series(out.key("best_vs_time"), result.best_vs_time);
+  write_series(out.key("best_vs_global"), result.best_vs_global);
+  write_stats(out.key("stats"), result.stats);
 
-  out.set("iterations", Value(static_cast<double>(result.iterations)));
-  out.set("makespan", Value(result.makespan));
-  out.set("stop_reason", Value(std::string(stop_reason_name(result.stop_reason))));
-  out.set("converged", Value(result.converged));
-  return out;
+  out.key("iterations").number(static_cast<double>(result.iterations));
+  out.key("makespan").number(result.makespan);
+  out.key("stop_reason").string(stop_reason_name(result.stop_reason));
+  out.key("converged").boolean(result.converged);
+  out.end_object();
+  return text;
 }
 
-std::optional<solver::SolveResult> result_from_json(const json::Value& value,
-                                                    std::string* error) {
+std::optional<solver::SolveResult> decode_result(std::string_view text,
+                                                 std::string* error) {
+  if (!json::validate(text, error)) return std::nullopt;
   std::string err;
   solver::SolveResult result;
 
-  ObjectReader reader(value, "result", err);
+  ObjectReader reader(json::Node::root(text), "result", err);
   reader.read_string("engine", result.engine);
   reader.read_double("initial_cost", result.initial_cost);
   reader.read_double("best_cost", result.best_cost);
@@ -263,33 +274,13 @@ bool spec_cacheable(const JobRequest& job) {
 
 std::string cache_key(const JobRequest& job, std::uint64_t circuit_hash) {
   // Canonical form: the content hash pins the circuit *bytes* (the name in
-  // the spec only pins the registry entry), and the deadline is zeroed —
-  // it changes when a job is killed, never what it computes. spec_to_json
-  // emits members in one fixed order, so the dump is canonical.
-  JobRequest canonical = job;
-  canonical.deadline_seconds = 0.0;
-  return hex_u64(circuit_hash) + "|" + encode_spec(canonical);
-}
-
-// -- string conveniences ----------------------------------------------------
-
-std::string encode_spec(const JobRequest& job) { return json::dump(spec_to_json(job)); }
-
-std::optional<JobRequest> decode_spec(std::string_view text, std::string* error) {
-  const auto value = json::parse(text, error);
-  if (!value) return std::nullopt;
-  return spec_from_json(*value, error);
-}
-
-std::string encode_result(const solver::SolveResult& result) {
-  return json::dump(result_to_json(result));
-}
-
-std::optional<solver::SolveResult> decode_result(std::string_view text,
-                                                 std::string* error) {
-  const auto value = json::parse(text, error);
-  if (!value) return std::nullopt;
-  return result_from_json(*value, error);
+  // the spec only pins the registry entry), and the deadline is written as
+  // zero — it changes when a job is killed, never what it computes. The
+  // spec writer emits members in one fixed order, so the text is canonical.
+  std::string key = hex_u64(circuit_hash) + "|";
+  json::Writer out(key);
+  write_spec(out, job, 0.0);
+  return key;
 }
 
 }  // namespace pts::service

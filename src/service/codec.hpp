@@ -19,9 +19,14 @@
 // model keep their defaults (they shape the emulation experiments, not a
 // served solve; extend the schema here if that changes).
 //
-// Doubles round-trip bit-exactly through service/json.hpp, so
-// decode(encode(result)) == result field-for-field — the property behind
-// the daemon-vs-direct bit-identity guarantee (tests/service_test.cpp).
+// Encoding streams each document straight into its output string with the
+// writer of service/json.hpp; decoding validates the text once and reads it
+// in place (service/schema.hpp). No document tree is built on either side.
+// The bytes are those of the tree-based codec this replaced, member for
+// member (tests/wire_corpus_test.cpp pins them). Doubles round-trip
+// bit-exactly, so decode(encode(result)) == result field-for-field — the
+// property behind the daemon-vs-direct bit-identity guarantee
+// (tests/service_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +34,6 @@
 #include <string>
 #include <string_view>
 
-#include "service/json.hpp"
 #include "solver/solver.hpp"
 
 namespace pts::service {
@@ -45,14 +49,6 @@ struct JobRequest {
   double deadline_seconds = 0.0;
 };
 
-json::Value spec_to_json(const JobRequest& job);
-std::optional<JobRequest> spec_from_json(const json::Value& value,
-                                         std::string* error);
-
-json::Value result_to_json(const solver::SolveResult& result);
-std::optional<solver::SolveResult> result_from_json(const json::Value& value,
-                                                    std::string* error);
-
 /// True when the job's result is a pure function of the spec — no
 /// wall-clock stop condition and a deterministic engine — and therefore
 /// eligible for the daemon's result cache (ECO mode).
@@ -64,7 +60,6 @@ bool spec_cacheable(const JobRequest& job);
 /// (a deadline changes when a job fails, not what it computes).
 std::string cache_key(const JobRequest& job, std::uint64_t circuit_hash);
 
-// String conveniences (parse + decode / encode + dump in one call).
 std::string encode_spec(const JobRequest& job);
 std::optional<JobRequest> decode_spec(std::string_view text, std::string* error);
 std::string encode_result(const solver::SolveResult& result);

@@ -481,7 +481,7 @@ void Daemon::handle_submit(Connection& connection, const SubmitMsg& submit) {
       }
     }
     key = cache_key(*job, circuit_hash);
-    if (auto hit = impl.manager.cached_result(key)) {
+    if (const auto hit = impl.manager.cached_result(key)) {
       if (submit.request_id != 0) {
         log_info("ptsd") << "connection " << connection.id << " request "
                          << submit.request_id << " -> cache hit";
@@ -490,10 +490,8 @@ void Daemon::handle_submit(Connection& connection, const SubmitMsg& submit) {
       ok.session = 0;
       ok.cached = true;
       connection.send_frame(encode(ok));
-      DoneMsg done;
-      done.session = 0;
-      done.result_json = encode_result(*hit);
-      connection.send_frame(encode(done));
+      // The stored bytes go out as they are: nothing is decoded or encoded.
+      connection.send_frame(encode_done(0, **hit));
       return;
     }
   }
@@ -532,10 +530,7 @@ void Daemon::handle_submit(Connection& connection, const SubmitMsg& submit) {
           progress.best_cost = event.progress.best_cost;
           conn->send_frame(encode(progress));
         } else {
-          DoneMsg done;
-          done.session = event.session;
-          done.result_json = encode_result(event.result);
-          conn->send_frame(encode(done));
+          conn->send_frame(encode_done(event.session, *event.payload));
         }
       },
       deadline, std::move(key));
@@ -585,5 +580,6 @@ std::uint64_t Daemon::cache_misses() const {
   return impl_->manager.cache_misses();
 }
 std::size_t Daemon::cache_size() const { return impl_->manager.cache_size(); }
+std::size_t Daemon::cache_bytes() const { return impl_->manager.cache_bytes(); }
 
 }  // namespace pts::service

@@ -57,8 +57,8 @@ struct DaemonConfig {
   double session_deadline_seconds = 0.0;
   /// Bounded LRU result cache (ECO mode): a resubmission of a cacheable
   /// job (codec spec_cacheable) whose result is remembered gets
-  /// kSubmitOk{cached} + kDone with the bit-identical result, without
-  /// running a session. 0 disables caching.
+  /// kSubmitOk{cached} + kDone carrying the stored encoded result, without
+  /// running a session or encoding anything. 0 disables caching.
   std::size_t cache_entries = 0;
   std::size_t max_payload = 64u << 20;
   std::string server_name = "ptsd";
@@ -100,6 +100,8 @@ class Daemon {
   std::uint64_t cache_hits() const;
   std::uint64_t cache_misses() const;
   std::size_t cache_size() const;
+  /// Payload bytes the result cache holds (SessionManager::cache_bytes).
+  std::size_t cache_bytes() const;
 
  private:
   struct Impl;

@@ -6,28 +6,135 @@
 
 namespace pts::service::json {
 
-void Value::set(std::string key, Value v) {
-  for (auto& [existing, value] : object_) {
-    if (existing == key) {
-      value = std::move(v);
-      return;
-    }
+namespace {
+
+constexpr int kMaxDepth = 64;
+
+std::size_t skip_whitespace(std::string_view text, std::size_t pos) {
+  while (pos < text.size()) {
+    const char c = text[pos];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos;
   }
-  object_.emplace_back(std::move(key), std::move(v));
+  return pos;
 }
 
-const Value* Value::find(std::string_view key) const {
-  for (const auto& [name, value] : object_) {
-    if (name == key) return &value;
+// -- numbers ----------------------------------------------------------------
+
+/// End of the number token at `pos`: an optional '-', then every following
+/// character that can appear in a number.
+std::size_t number_end(std::string_view text, std::size_t pos) {
+  if (pos < text.size() && text[pos] == '-') ++pos;
+  while (pos < text.size() && is_number_char(text[pos])) ++pos;
+  return pos;
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+}  // namespace
+
+bool read_number_token(std::string_view text, std::size_t pos, std::size_t& end,
+                       double& out) {
+  end = number_end(text, pos);
+  const char* first = text.data() + pos;
+  const char* last = text.data() + end;
+  const auto [ptr, ec] = std::from_chars(first, last, out);
+  return end > pos && ec == std::errc() && ptr == last;
+}
+
+namespace {
+
+// -- strings ----------------------------------------------------------------
+
+const char* parse_hex4(std::string_view text, std::size_t& pos,
+                       std::uint32_t& out) {
+  if (text.size() - pos < 4) return "truncated \\u escape";
+  out = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = text[pos++];
+    out <<= 4;
+    if (c >= '0' && c <= '9') {
+      out |= static_cast<std::uint32_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      out |= static_cast<std::uint32_t>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      out |= static_cast<std::uint32_t>(c - 'A' + 10);
+    } else {
+      return "invalid \\u escape";
+    }
   }
   return nullptr;
 }
 
-// -- dump -------------------------------------------------------------------
+void append_utf8(std::uint32_t cp, std::string& s) {
+  if (cp < 0x80) {
+    s += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    s += static_cast<char>(0xC0 | (cp >> 6));
+    s += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    s += static_cast<char>(0xE0 | (cp >> 12));
+    s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    s += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    s += static_cast<char>(0xF0 | (cp >> 18));
+    s += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    s += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
 
-namespace {
+/// Scans a string body from just past its opening quote to just past its
+/// closing one, decoding into *out when `out` is non-null. Returns nullptr,
+/// or the reason the text is not a string (pos then marks the failure).
+const char* scan_string(std::string_view text, std::size_t& pos,
+                        std::string* out) {
+  while (true) {
+    if (pos >= text.size()) return "unterminated string";
+    const char c = text[pos++];
+    if (c == '"') return nullptr;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      return "raw control character in string";
+    }
+    if (c != '\\') {
+      if (out != nullptr) *out += c;  // UTF-8 bytes pass through verbatim
+      continue;
+    }
+    if (pos >= text.size()) return "unterminated escape";
+    char decoded = 0;
+    switch (text[pos++]) {
+      case '"': decoded = '"'; break;
+      case '\\': decoded = '\\'; break;
+      case '/': decoded = '/'; break;
+      case 'b': decoded = '\b'; break;
+      case 'f': decoded = '\f'; break;
+      case 'n': decoded = '\n'; break;
+      case 'r': decoded = '\r'; break;
+      case 't': decoded = '\t'; break;
+      case 'u': {
+        std::uint32_t cp = 0;
+        if (const char* why = parse_hex4(text, pos, cp)) return why;
+        if (cp >= 0xD800 && cp <= 0xDBFF) {
+          // High surrogate: a low surrogate must follow.
+          if (text.substr(pos, 2) != "\\u") return "lone surrogate";
+          pos += 2;
+          std::uint32_t low = 0;
+          if (const char* why = parse_hex4(text, pos, low)) return why;
+          if (low < 0xDC00 || low > 0xDFFF) return "lone surrogate";
+          cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+        } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+          return "lone surrogate";
+        }
+        if (out != nullptr) append_utf8(cp, *out);
+        continue;
+      }
+      default: return "invalid escape character";
+    }
+    if (out != nullptr) *out += decoded;
+  }
+}
 
-void dump_string(const std::string& s, std::string& out) {
+void append_escaped(std::string_view s, std::string& out) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -51,103 +158,36 @@ void dump_string(const std::string& s, std::string& out) {
   out += '"';
 }
 
-void dump_number(double v, std::string& out) {
-  if (!std::isfinite(v)) {
-    // JSON has no NaN/Inf; the codec never emits them, but a defensive
-    // writer must not produce unparseable text.
-    out += "null";
-    return;
-  }
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  (void)ec;  // 32 bytes always suffice for shortest-round-trip doubles
-  out.append(buf, end);
-}
+// -- validation -------------------------------------------------------------
 
-void dump_value(const Value& value, std::string& out) {
-  switch (value.kind()) {
-    case Value::Kind::Null: out += "null"; break;
-    case Value::Kind::Bool: out += value.as_bool() ? "true" : "false"; break;
-    case Value::Kind::Number: dump_number(value.as_number(), out); break;
-    case Value::Kind::String: dump_string(value.as_string(), out); break;
-    case Value::Kind::Array: {
-      out += '[';
-      bool first = true;
-      for (const auto& item : value.items()) {
-        if (!first) out += ',';
-        first = false;
-        dump_value(item, out);
-      }
-      out += ']';
-      break;
-    }
-    case Value::Kind::Object: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, member] : value.members()) {
-        if (!first) out += ',';
-        first = false;
-        dump_string(key, out);
-        out += ':';
-        dump_value(member, out);
-      }
-      out += '}';
-      break;
-    }
-  }
-}
-
-}  // namespace
-
-std::string dump(const Value& value) {
-  std::string out;
-  dump_value(value, out);
-  return out;
-}
-
-// -- parse ------------------------------------------------------------------
-
-namespace {
-
-constexpr int kMaxDepth = 64;
-
-class Parser {
+class Validator {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit Validator(std::string_view text) : text_(text) {}
 
-  std::optional<Value> run(std::string* error) {
-    Value value;
-    if (!parse_value(value, 0)) {
+  bool run(std::string* error) {
+    if (!value(0)) {
       report(error);
-      return std::nullopt;
+      return false;
     }
-    skip_ws();
+    pos_ = skip_whitespace(text_, pos_);
     if (pos_ != text_.size()) {
-      error_ = "trailing characters after document";
+      why_ = "trailing characters after document";
       report(error);
-      return std::nullopt;
+      return false;
     }
-    return value;
+    return true;
   }
 
  private:
   void report(std::string* error) const {
     if (error == nullptr) return;
-    *error = error_.empty() ? "malformed JSON" : error_;
+    *error = why_ == nullptr ? "malformed JSON" : why_;
     *error += " (at byte " + std::to_string(pos_) + ")";
   }
 
   bool fail(const char* why) {
-    if (error_.empty()) error_ = why;
+    if (why_ == nullptr) why_ = why;
     return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
   }
 
   bool consume(char expected) {
@@ -158,176 +198,77 @@ class Parser {
     return false;
   }
 
-  bool parse_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) {
-      return fail("invalid literal");
-    }
-    pos_ += literal.size();
+  bool literal(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) return fail("invalid literal");
+    pos_ += word.size();
     return true;
   }
 
-  bool parse_value(Value& out, int depth) {
+  bool value(int depth) {
     if (depth >= kMaxDepth) return fail("nesting too deep");
-    skip_ws();
+    pos_ = skip_whitespace(text_, pos_);
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case 'n':
-        out = Value();
-        return parse_literal("null");
-      case 't':
-        out = Value(true);
-        return parse_literal("true");
-      case 'f':
-        out = Value(false);
-        return parse_literal("false");
-      case '"': {
-        std::string s;
-        if (!parse_string(s)) return false;
-        out = Value(std::move(s));
-        return true;
-      }
-      case '[': return parse_array(out, depth);
-      case '{': return parse_object(out, depth);
-      default: return parse_number(out);
+      case 'n': return literal("null");
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case '"': return string();
+      case '[': return array(depth);
+      case '{': return object(depth);
+      default: return number();
     }
   }
 
-  bool parse_number(Value& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-          c == '+' || c == '-') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
+  bool number() {
+    std::size_t end = 0;
     double value = 0.0;
-    const auto [end, ec] =
-        std::from_chars(text_.data() + start, text_.data() + pos_, value);
-    if (ec != std::errc() || end != text_.data() + pos_ || pos_ == start) {
-      pos_ = start;
-      return fail("invalid number");
-    }
-    out = Value(value);
+    if (!read_number(text_, pos_, end, value)) return fail("invalid number");
+    pos_ = end;
     return true;
   }
 
-  bool parse_hex4(std::uint32_t& out) {
-    if (text_.size() - pos_ < 4) return fail("truncated \\u escape");
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_++];
-      out <<= 4;
-      if (c >= '0' && c <= '9') {
-        out |= static_cast<std::uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        out |= static_cast<std::uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        out |= static_cast<std::uint32_t>(c - 'A' + 10);
-      } else {
-        return fail("invalid \\u escape");
-      }
-    }
-    return true;
-  }
-
-  void append_utf8(std::uint32_t cp, std::string& s) {
-    if (cp < 0x80) {
-      s += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      s += static_cast<char>(0xC0 | (cp >> 6));
-      s += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      s += static_cast<char>(0xE0 | (cp >> 12));
-      s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      s += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      s += static_cast<char>(0xF0 | (cp >> 18));
-      s += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      s += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  bool parse_string(std::string& out) {
+  bool string() {
     if (!consume('"')) return fail("expected string");
-    while (true) {
-      if (pos_ >= text_.size()) return fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          std::uint32_t cp = 0;
-          if (!parse_hex4(cp)) return false;
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // High surrogate: a low surrogate must follow.
-            if (text_.substr(pos_, 2) != "\\u") return fail("lone surrogate");
-            pos_ += 2;
-            std::uint32_t low = 0;
-            if (!parse_hex4(low)) return false;
-            if (low < 0xDC00 || low > 0xDFFF) return fail("lone surrogate");
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            return fail("lone surrogate");
-          }
-          append_utf8(cp, out);
-          break;
-        }
-        default: return fail("invalid escape character");
-      }
-    }
+    const char* why = scan_string(text_, pos_, nullptr);
+    return why == nullptr || fail(why);
   }
 
-  bool parse_array(Value& out, int depth) {
+  bool array(int depth) {
     consume('[');
-    out = Value::array();
-    skip_ws();
+    pos_ = skip_whitespace(text_, pos_);
     if (consume(']')) return true;
     while (true) {
-      Value item;
-      if (!parse_value(item, depth + 1)) return false;
-      out.push_back(std::move(item));
-      skip_ws();
+      if (depth + 1 < kMaxDepth) {
+        // Fast lane for the common element of slot and id arrays: a short
+        // digit-only number directly followed by ',' or ']'. It accepts
+        // exactly what the general path below accepts for that text.
+        std::size_t end = pos_;
+        while (end < text_.size() && is_digit(text_[end])) ++end;
+        if (end > pos_ && end - pos_ <= 15 && end < text_.size() &&
+            (text_[end] == ',' || text_[end] == ']')) {
+          pos_ = end + 1;
+          if (text_[end] == ']') return true;
+          continue;
+        }
+      }
+      if (!value(depth + 1)) return false;
+      pos_ = skip_whitespace(text_, pos_);
       if (consume(']')) return true;
       if (!consume(',')) return fail("expected ',' or ']' in array");
     }
   }
 
-  bool parse_object(Value& out, int depth) {
+  bool object(int depth) {
     consume('{');
-    out = Value::object();
-    skip_ws();
+    pos_ = skip_whitespace(text_, pos_);
     if (consume('}')) return true;
     while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
+      pos_ = skip_whitespace(text_, pos_);
+      if (!string()) return false;
+      pos_ = skip_whitespace(text_, pos_);
       if (!consume(':')) return fail("expected ':' in object");
-      Value member;
-      if (!parse_value(member, depth + 1)) return false;
-      out.set(std::move(key), std::move(member));
-      skip_ws();
+      if (!value(depth + 1)) return false;
+      pos_ = skip_whitespace(text_, pos_);
       if (consume('}')) return true;
       if (!consume(',')) return fail("expected ',' or '}' in object");
     }
@@ -335,13 +276,151 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
-  std::string error_;
+  const char* why_ = nullptr;
 };
 
 }  // namespace
 
-std::optional<Value> parse(std::string_view text, std::string* error) {
-  return Parser(text).run(error);
+// -- writer -----------------------------------------------------------------
+
+Writer& Writer::key(std::string_view name) {
+  string(name);
+  out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+void Writer::number(double value) {
+  separate();
+  // Whole numbers below 1e5 (slot and cell ids, counters) get the digits
+  // to_chars would print — it switches to exponent form only from 1e+05 —
+  // without its shortest-form search. -0.0 keeps its sign via to_chars.
+  if (!std::signbit(value) && value < 1e5) {
+    auto whole = static_cast<std::uint32_t>(value);
+    if (static_cast<double>(whole) == value) {
+      char buf[8];
+      char* first = buf + sizeof(buf);
+      do {
+        *--first = static_cast<char>('0' + whole % 10);
+        whole /= 10;
+      } while (whole != 0);
+      out_.append(first, buf + sizeof(buf));
+      return;
+    }
+  }
+  if (!std::isfinite(value)) {
+    out_ += "null";
+    return;
+  }
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  (void)ec;  // 32 bytes always suffice for shortest-round-trip doubles
+  out_.append(buf, end);
+}
+
+void Writer::boolean(bool value) {
+  separate();
+  out_ += value ? "true" : "false";
+}
+
+void Writer::string(std::string_view value) {
+  separate();
+  append_escaped(value, out_);
+}
+
+void Writer::null() {
+  separate();
+  out_ += "null";
+}
+
+void Writer::optional_number(const std::optional<double>& value) {
+  if (value) {
+    number(*value);
+  } else {
+    null();
+  }
+}
+
+void Writer::numbers(std::span<const double> values) {
+  begin_array();
+  for (const double v : values) number(v);
+  end_array();
+}
+
+// -- reader -----------------------------------------------------------------
+
+bool validate(std::string_view text, std::string* error) {
+  return Validator(text).run(error);
+}
+
+Node Node::root(std::string_view text) { return Node(text, skip_whitespace(text, 0)); }
+
+double Node::as_number() const {
+  double value = 0.0;
+  std::size_t end = 0;
+  read_number(text_, pos_, end, value);
+  return value;
+}
+
+std::string Node::as_string() const {
+  std::string out;
+  std::size_t pos = pos_ + 1;
+  scan_string(text_, pos, &out);
+  return out;
+}
+
+std::size_t Node::end() const {
+  switch (text_[pos_]) {
+    case 'n':
+    case 't': return pos_ + 4;
+    case 'f': return pos_ + 5;
+    case '"': return string_end(pos_);
+    case '[':
+    case '{': {
+      std::size_t depth = 0;
+      std::size_t pos = pos_;
+      while (true) {
+        const char c = text_[pos];
+        if (c == '"') {
+          pos = string_end(pos);
+          continue;
+        }
+        if (c == '[' || c == '{') {
+          ++depth;
+        } else if ((c == ']' || c == '}') && --depth == 0) {
+          return pos + 1;
+        }
+        ++pos;
+      }
+    }
+    default: return number_end(text_, pos_);
+  }
+}
+
+std::size_t Node::string_end(std::size_t pos) const {
+  ++pos;  // opening quote
+  while (text_[pos] != '"') pos += text_[pos] == '\\' ? 2 : 1;
+  return pos + 1;
+}
+
+std::size_t Node::value_after_colon(std::size_t pos) const {
+  return skip_whitespace(text_, skip_whitespace(text_, pos) + 1);
+}
+
+bool key_equals(std::string_view raw_key, std::string_view key) {
+  if (raw_key.find('\\') == std::string_view::npos) return raw_key == key;
+  return decode_key(raw_key) == key;
+}
+
+std::string decode_key(std::string_view raw_key) {
+  // The raw text sits between the key's quotes of a validated document, so
+  // scanning it plus a closing quote decodes it.
+  std::string quoted(raw_key);
+  quoted += '"';
+  std::string out;
+  std::size_t pos = 0;
+  scan_string(quoted, pos, &out);
+  return out;
 }
 
 }  // namespace pts::service::json

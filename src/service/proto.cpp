@@ -152,9 +152,13 @@ pvm::Message encode(const ProgressMsg& msg) {
 }
 
 pvm::Message encode(const DoneMsg& msg) {
+  return encode_done(msg.session, msg.result_json);
+}
+
+pvm::Message encode_done(std::uint64_t session, std::string_view result_json) {
   Message out(kDone);
-  out.pack_u64(msg.session);
-  out.pack_string(msg.result_json);
+  out.pack_u64(session);
+  out.pack_string(result_json);
   return out;
 }
 

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pvm/message.hpp"
@@ -135,6 +136,9 @@ pvm::Message encode(const CancelMsg& msg);
 pvm::Message encode(const CancelOkMsg& msg);
 pvm::Message encode(const ProgressMsg& msg);
 pvm::Message encode(const DoneMsg& msg);
+/// The kDone message for an already-encoded result, without first copying
+/// the text into a DoneMsg (the daemon sends cached payloads this way).
+pvm::Message encode_done(std::uint64_t session, std::string_view result_json);
 pvm::Message encode(const ErrorMsg& msg);
 pvm::Message encode_shutdown();
 pvm::Message encode_shutdown_ok();

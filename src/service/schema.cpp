@@ -1,17 +1,18 @@
 #include "service/schema.hpp"
 
 #include <charconv>
-#include <cmath>
 
 namespace pts::service {
 
-using json::Value;
+using json::Kind;
+using json::Node;
 
 namespace {
 
-bool parse_hex_u64(const Value& v, std::uint64_t& out) {
-  if (!v.is_string() || v.as_string().empty()) return false;
-  const std::string& text = v.as_string();
+bool parse_hex_u64(const Node& v, std::uint64_t& out) {
+  if (v.kind() != Kind::String) return false;
+  const std::string text = v.as_string();
+  if (text.empty()) return false;
   const char* end = text.data() + text.size();
   const auto res = std::from_chars(text.data(), end, out, 16);
   return res.ec == std::errc{} && res.ptr == end;
@@ -19,15 +20,22 @@ bool parse_hex_u64(const Value& v, std::uint64_t& out) {
 
 }  // namespace
 
-ObjectReader::ObjectReader(const Value& value, std::string path,
-                           std::string& error, Keys keys)
-    : value_(value), path_(std::move(path)), error_(error), keys_(keys) {
-  if (!value_.is_object()) fail("expected an object");
+ObjectReader::ObjectReader(Node node, std::string path, std::string& error,
+                           Keys keys)
+    : path_(std::move(path)), error_(error), keys_(keys) {
+  is_object_ = node.kind() == Kind::Object;
+  if (!is_object_) {
+    fail("expected an object");
+    return;
+  }
+  node.for_each_member([&](std::string_view raw_key, const Node& value) {
+    members_.push_back({raw_key, value});
+  });
 }
 
 void ObjectReader::read_string(const char* key, std::string& out) {
-  if (const Value* v = known(key)) {
-    if (v->is_string()) {
+  if (const auto v = known(key)) {
+    if (v->kind() == Kind::String) {
       out = v->as_string();
     } else {
       fail(std::string(key) + " must be a string");
@@ -36,8 +44,8 @@ void ObjectReader::read_string(const char* key, std::string& out) {
 }
 
 void ObjectReader::read_bool(const char* key, bool& out) {
-  if (const Value* v = known(key)) {
-    if (v->is_bool()) {
+  if (const auto v = known(key)) {
+    if (v->kind() == Kind::Bool) {
       out = v->as_bool();
     } else {
       fail(std::string(key) + " must be a boolean");
@@ -46,24 +54,22 @@ void ObjectReader::read_bool(const char* key, bool& out) {
 }
 
 void ObjectReader::read_double(const char* key, double& out) {
-  if (const Value* v = known(key)) {
-    if (v->is_number() && std::isfinite(v->as_number())) {
+  if (const auto v = known(key)) {
+    // Validated numbers are always finite (the scan rejects overflow), so
+    // the kind check is the whole rule.
+    if (v->kind() == Kind::Number) {
       out = v->as_number();
     } else {
-      // Non-finite values cannot come off the wire (the JSON grammar has no
-      // NaN/Inf and the number parser rejects overflow), but an in-process
-      // Value can carry one; reject it so no document with poisoned
-      // arithmetic gets past decoding.
       fail(std::string(key) + " must be a finite number");
     }
   }
 }
 
 void ObjectReader::read_opt_double(const char* key, std::optional<double>& out) {
-  if (const Value* v = known(key)) {
-    if (v->is_null()) {
+  if (const auto v = known(key)) {
+    if (v->kind() == Kind::Null) {
       out.reset();
-    } else if (v->is_number() && std::isfinite(v->as_number())) {
+    } else if (v->kind() == Kind::Number) {
       out = v->as_number();
     } else {
       fail(std::string(key) + " must be a finite number or null");
@@ -73,7 +79,7 @@ void ObjectReader::read_opt_double(const char* key, std::optional<double>& out) 
 
 bool ObjectReader::read_uint_max(const char* key, std::uint64_t max,
                                  std::uint64_t& out) {
-  if (const Value* v = known(key)) {
+  if (const auto v = known(key)) {
     if (uint_value(*v, max, out)) return true;
     fail(std::string(key) + " must be " + uint_rule(max));
   }
@@ -81,7 +87,7 @@ bool ObjectReader::read_uint_max(const char* key, std::uint64_t max,
 }
 
 void ObjectReader::read_hex_u64(const char* key, std::uint64_t& out) {
-  if (const Value* v = known(key)) {
+  if (const auto v = known(key)) {
     if (!parse_hex_u64(*v, out)) {
       fail(std::string(key) + " must be a hex u64 string");
     }
@@ -89,12 +95,15 @@ void ObjectReader::read_hex_u64(const char* key, std::uint64_t& out) {
 }
 
 void ObjectReader::read_hex_u64s(const char* key, std::span<std::uint64_t> out) {
-  if (const Value* arr = read_array(key)) {
-    bool valid = arr->items().size() == out.size();
-    for (std::size_t i = 0; valid && i < out.size(); ++i) {
-      valid = parse_hex_u64(arr->items()[i], out[i]);
-    }
-    if (!valid) {
+  if (const auto array = read_array(key)) {
+    std::size_t count = 0;
+    bool valid = true;
+    array->for_each_item([&](const Node& item) {
+      valid = count < out.size() && parse_hex_u64(item, out[count]);
+      ++count;
+      return valid;
+    });
+    if (!valid || count != out.size()) {
       fail(std::string(key) + " must be an array of " +
            std::to_string(out.size()) + " hex u64 strings");
     }
@@ -102,42 +111,43 @@ void ObjectReader::read_hex_u64s(const char* key, std::span<std::uint64_t> out) 
 }
 
 void ObjectReader::read_doubles(const char* key, std::vector<double>& out) {
-  if (const Value* arr = read_array(key)) {
+  if (const auto array = read_array(key)) {
     out.clear();
-    out.reserve(arr->items().size());
-    for (const Value& item : arr->items()) {
-      if (!item.is_number() || !std::isfinite(item.as_number())) {
-        fail(std::string(key) + " must contain only finite numbers");
-        return;
-      }
-      out.push_back(item.as_number());
-    }
+    const bool valid = array->for_each_number([&](double n) {
+      out.push_back(n);
+      return true;
+    });
+    if (!valid) fail(std::string(key) + " must contain only finite numbers");
   }
 }
 
 std::optional<ObjectReader> ObjectReader::read_object(const char* key) {
-  if (const Value* v = known(key)) {
-    if (v->is_object()) return ObjectReader(*v, path_ + "." + key, error_, keys_);
+  if (const auto v = known(key)) {
+    if (v->kind() == Kind::Object) {
+      return ObjectReader(*v, path_ + "." + key, error_, keys_);
+    }
     fail(std::string(key) + " must be an object");
   }
   return std::nullopt;
 }
 
-const Value* ObjectReader::read_array(const char* key) {
-  if (const Value* v = known(key)) {
-    if (v->is_array()) return v;
+std::optional<Node> ObjectReader::read_array(const char* key) {
+  if (const auto v = known(key)) {
+    if (v->kind() == Kind::Array) return v;
     fail(std::string(key) + " must be an array");
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 void ObjectReader::finish() {
-  if (!value_.is_object()) return;
-  for (const auto& [key, member] : value_.members()) {
-    (void)member;
-    if (std::find(known_keys_.begin(), known_keys_.end(), key) ==
-        known_keys_.end()) {
-      fail("unknown key '" + key + "'");
+  if (!is_object_) return;
+  for (const Member& member : members_) {
+    const bool asked = std::any_of(
+        known_keys_.begin(), known_keys_.end(),
+        [&](std::string_view k) { return json::key_equals(member.raw_key, k); });
+    if (!asked) {
+      fail("unknown key '" + json::decode_key(member.raw_key) + "'");
+      return;
     }
   }
 }
@@ -147,31 +157,21 @@ void ObjectReader::fail(const std::string& why) {
   error_ = path_ + ": " + why;
 }
 
-bool ObjectReader::uint_value(const Value& v, std::uint64_t max,
-                              std::uint64_t& out) {
-  if (!v.is_number()) return false;
-  const double n = v.as_number();
-  if (!(n >= 0.0 && n <= static_cast<double>(max))) return false;
-  if (std::nearbyint(n) != n) return false;
-  out = static_cast<std::uint64_t>(n);
-  return true;
-}
-
 std::string ObjectReader::uint_rule(std::uint64_t max) {
   return max >= kMaxExactInt ? "a non-negative integer"
                              : "an integer in [0, " + std::to_string(max) + "]";
 }
 
-const Value* ObjectReader::known(const char* key) {
+std::optional<Node> ObjectReader::known(const char* key) {
   known_keys_.emplace_back(key);
-  const Value* v = value_.find(key);
-  if (v == nullptr && keys_ == Keys::Required) {
-    fail(std::string(key) + " is required");
+  for (auto it = members_.rbegin(); it != members_.rend(); ++it) {
+    if (json::key_equals(it->raw_key, key)) return it->value;
   }
-  return v;
+  if (keys_ == Keys::Required) fail(std::string(key) + " is required");
+  return std::nullopt;
 }
 
-// -- shared encoders --------------------------------------------------------
+// -- shared writers ---------------------------------------------------------
 
 std::string hex_u64(std::uint64_t v) {
   char buf[16];
@@ -179,37 +179,31 @@ std::string hex_u64(std::uint64_t v) {
   return std::string(buf, res.ptr);
 }
 
-Value doubles_to_json(std::span<const double> values) {
-  Value arr = Value::array();
-  for (const double v : values) arr.push_back(Value(v));
-  return arr;
+void write_series(json::Writer& out, const Series& series) {
+  out.begin_object();
+  out.key("name").string(series.name);
+  out.key("x").numbers(series.x);
+  out.key("y").numbers(series.y);
+  out.end_object();
 }
 
-Value series_to_json(const Series& series) {
-  Value out = Value::object();
-  out.set("name", Value(series.name));
-  out.set("x", doubles_to_json(series.x));
-  out.set("y", doubles_to_json(series.y));
-  return out;
+void write_objectives(json::Writer& out, const cost::Objectives& objectives) {
+  out.begin_object();
+  out.key("wirelength").number(objectives.wirelength);
+  out.key("delay").number(objectives.delay);
+  out.key("area").number(objectives.area);
+  out.end_object();
 }
 
-Value objectives_to_json(const cost::Objectives& objectives) {
-  Value out = Value::object();
-  out.set("wirelength", Value(objectives.wirelength));
-  out.set("delay", Value(objectives.delay));
-  out.set("area", Value(objectives.area));
-  return out;
-}
-
-Value stats_to_json(const tabu::SearchStats& stats) {
-  Value out = Value::object();
-  out.set("iterations", Value(static_cast<double>(stats.iterations)));
-  out.set("accepted", Value(static_cast<double>(stats.accepted)));
-  out.set("rejected_tabu", Value(static_cast<double>(stats.rejected_tabu)));
-  out.set("aspirated", Value(static_cast<double>(stats.aspirated)));
-  out.set("early_accepts", Value(static_cast<double>(stats.early_accepts)));
-  out.set("trials", Value(static_cast<double>(stats.trials)));
-  return out;
+void write_stats(json::Writer& out, const tabu::SearchStats& stats) {
+  out.begin_object();
+  out.key("iterations").number(static_cast<double>(stats.iterations));
+  out.key("accepted").number(static_cast<double>(stats.accepted));
+  out.key("rejected_tabu").number(static_cast<double>(stats.rejected_tabu));
+  out.key("aspirated").number(static_cast<double>(stats.aspirated));
+  out.key("early_accepts").number(static_cast<double>(stats.early_accepts));
+  out.key("trials").number(static_cast<double>(stats.trials));
+  out.end_object();
 }
 
 // -- shared decoders --------------------------------------------------------

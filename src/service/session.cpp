@@ -7,6 +7,8 @@
 #include <optional>
 #include <utility>
 
+#include "service/codec.hpp"
+
 namespace pts::service {
 
 using Clock = std::chrono::steady_clock;
@@ -73,6 +75,11 @@ class StreamObserver final : public Observer {
 };
 
 }  // namespace
+
+Payload make_payload(std::string text) {
+  text.shrink_to_fit();
+  return std::make_shared<const std::string>(std::move(text));
+}
 
 const char* SessionManager::start_status_name(StartStatus status) {
   switch (status) {
@@ -185,18 +192,19 @@ void SessionManager::run_session(Session* session) {
       result.stop_reason == StopReason::IterationBudget ||
       result.stop_reason == StopReason::TargetCost ||
       result.stop_reason == StopReason::TargetQuality;
+  Payload payload = make_payload(encode_result(result));
   if (!session->cache_key.empty() && deterministic_stop) {
     // Insert BEFORE emitting Done: a client that has seen its result is
     // then guaranteed an identical re-submission hits the cache.
     const std::lock_guard<std::mutex> lock(mutex_);
-    cache_insert_locked(std::move(session->cache_key),
-                        solver::SolveResult(result));
+    cache_insert_locked(std::move(session->cache_key), payload);
   }
 
   SessionEvent done;
   done.kind = SessionEvent::Kind::Done;
   done.session = session->id;
   done.result = std::move(result);
+  done.payload = std::move(payload);
   session->sink(std::move(done));
 
   {
@@ -210,8 +218,7 @@ void SessionManager::run_session(Session* session) {
   }
 }
 
-void SessionManager::cache_insert_locked(std::string key,
-                                         solver::SolveResult result) {
+void SessionManager::cache_insert_locked(std::string key, Payload payload) {
   if (options_.cache_entries == 0) return;
   const auto it = cache_map_.find(key);
   if (it != cache_map_.end()) {
@@ -220,16 +227,17 @@ void SessionManager::cache_insert_locked(std::string key,
     cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
     return;
   }
-  cache_lru_.emplace_front(std::move(key), std::move(result));
+  cache_bytes_ += payload->size();
+  cache_lru_.emplace_front(std::move(key), std::move(payload));
   cache_map_.emplace(cache_lru_.front().first, cache_lru_.begin());
   while (cache_lru_.size() > options_.cache_entries) {
+    cache_bytes_ -= cache_lru_.back().second->size();
     cache_map_.erase(cache_lru_.back().first);
     cache_lru_.pop_back();
   }
 }
 
-std::optional<solver::SolveResult> SessionManager::cached_result(
-    const std::string& key) {
+std::optional<Payload> SessionManager::cached_result(const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = cache_map_.find(key);
   if (it == cache_map_.end()) {
@@ -420,6 +428,11 @@ std::uint64_t SessionManager::cache_misses() const {
 std::size_t SessionManager::cache_size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return cache_lru_.size();
+}
+
+std::size_t SessionManager::cache_bytes() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return cache_bytes_;
 }
 
 }  // namespace pts::service

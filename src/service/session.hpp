@@ -18,8 +18,9 @@
 //  - start()/cancel()/cancel_owned()/drain()/counters are thread-safe.
 //  - The sink runs on the session's solve thread: any number of Progress
 //    events while the engine runs, then exactly one Done event carrying the
-//    SolveResult — also when the session was cancelled (the result then has
-//    stop_reason == Cancelled or DeadlineExpired). A *queued* session fires
+//    SolveResult and its encoded payload — also when the session was
+//    cancelled (the result then has stop_reason == Cancelled or
+//    DeadlineExpired). A *queued* session fires
 //    its Done the same way once promoted (an expired queued session is
 //    promoted just to emit its DeadlineExpired Done). Sinks synchronize
 //    their own downstream (the daemon serializes socket writes per
@@ -33,6 +34,13 @@
 // Finished sessions are reaped (joined and erased) opportunistically from
 // the next mutating call, so a long-lived daemon does not accumulate dead
 // threads; drain() reaps everything.
+//
+// Encode once: the session thread encodes its result exactly once
+// (codec encode_result) into a Payload — an immutable, exact-size buffer.
+// The Done event carries it next to the result, and the result cache keeps
+// the very same buffer, so a cache hit is a lookup plus one frame write
+// with nothing encoded again. The cache holds these bytes only (no
+// SolveResult beside them); cache_bytes() is their exact total.
 #pragma once
 
 #include <condition_variable>
@@ -52,6 +60,15 @@
 
 namespace pts::service {
 
+/// A finished result as its encoded Done payload (codec encode_result),
+/// shared by the result cache and every frame that sends it.
+using Payload = std::shared_ptr<const std::string>;
+
+/// Wraps encoded text in a Payload whose buffer holds exactly its bytes
+/// (string growth would otherwise leave up to twice the size allocated for
+/// as long as the cache keeps the entry).
+Payload make_payload(std::string text);
+
 struct SessionEvent {
   enum class Kind { Progress, Done };
   Kind kind = Kind::Progress;
@@ -61,6 +78,8 @@ struct SessionEvent {
   Progress progress;
   // Kind::Done
   solver::SolveResult result;
+  /// encode_result(result), encoded once on the session thread.
+  Payload payload;
 };
 
 using EventSink = std::function<void(SessionEvent&&)>;
@@ -74,9 +93,10 @@ class SessionManager {
     /// with StartStatus::QueueFull. 0 disables queueing entirely.
     std::size_t max_queued = 64;
     /// Bounded LRU result cache (ECO mode): completed deterministic solves
-    /// are remembered under their caller-supplied cache key, and
-    /// cached_result() serves repeat queries bit-identically without
-    /// starting a session. 0 disables caching.
+    /// are remembered, as their encoded payload, under their
+    /// caller-supplied cache key, and cached_result() serves repeat
+    /// queries bit-identically without starting a session. 0 disables
+    /// caching.
     std::size_t cache_entries = 0;
   };
 
@@ -120,9 +140,10 @@ class SessionManager {
                     std::uint64_t progress_stride, EventSink sink,
                     double deadline_seconds = 0.0, std::string cache_key = {});
 
-  /// Cache lookup: returns a copy of the remembered result for `key` and
-  /// refreshes its LRU position, or nullopt. Counts one hit or miss.
-  std::optional<solver::SolveResult> cached_result(const std::string& key);
+  /// Cache lookup: returns the remembered payload for `key` (shared, not
+  /// copied) and refreshes its LRU position, or nullopt. Counts one hit or
+  /// miss.
+  std::optional<Payload> cached_result(const std::string& key);
 
   /// Requests cooperative cancellation (running or queued). True if the
   /// session exists and had not finished; the Done event still arrives (on
@@ -148,6 +169,9 @@ class SessionManager {
   std::uint64_t cache_hits() const;
   std::uint64_t cache_misses() const;
   std::size_t cache_size() const;
+  /// Payload bytes the cache holds: the sum of its entries' encode_result
+  /// sizes.
+  std::size_t cache_bytes() const;
 
  private:
   struct Session;
@@ -163,7 +187,7 @@ class SessionManager {
   void watchdog_loop();
   /// Inserts (or refreshes) a cache entry and evicts past the bound.
   /// Caller holds mutex_.
-  void cache_insert_locked(std::string key, solver::SolveResult result);
+  void cache_insert_locked(std::string key, Payload payload);
 
   Options options_;
   mutable std::mutex mutex_;
@@ -177,10 +201,11 @@ class SessionManager {
   /// LRU result cache: most-recently-used at the front; the map points into
   /// the list. Guarded by mutex_ (shared with the session threads' final
   /// bookkeeping, where insertions happen).
-  std::list<std::pair<std::string, solver::SolveResult>> cache_lru_;
+  std::list<std::pair<std::string, Payload>> cache_lru_;
   std::unordered_map<std::string,
-                     std::list<std::pair<std::string, solver::SolveResult>>::iterator>
+                     std::list<std::pair<std::string, Payload>>::iterator>
       cache_map_;
+  std::size_t cache_bytes_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
 

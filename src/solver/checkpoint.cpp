@@ -13,6 +13,7 @@ namespace {
 
 namespace json = service::json;
 using service::ObjectReader;
+using service::write_uints;
 
 // ---------------------------------------------------------------------------
 // Trace splicing.
@@ -161,77 +162,76 @@ CheckpointedSolve resume_from_checkpoint(const SolveSpec& spec,
 }
 
 std::string encode_checkpoint(const Checkpoint& ck) {
-  json::Value root = json::Value::object();
-  root.set("version", json::Value(1.0));
-  root.set("engine", json::Value(ck.engine));
-  root.set("seed", json::Value(service::hex_u64(ck.seed)));
-  root.set("circuit_hash", json::Value(service::hex_u64(ck.circuit_hash)));
-  root.set("initial_cost", json::Value(ck.initial_cost));
-  root.set("elapsed_seconds", json::Value(ck.elapsed_seconds));
+  std::string text;
+  json::Writer out(text);
+  out.begin_object();
+  out.key("version").number(1.0);
+  out.key("engine").string(ck.engine);
+  out.key("seed").string(service::hex_u64(ck.seed));
+  out.key("circuit_hash").string(service::hex_u64(ck.circuit_hash));
+  out.key("initial_cost").number(ck.initial_cost);
+  out.key("elapsed_seconds").number(ck.elapsed_seconds);
 
-  json::Value eval = json::Value::object();
-  eval.set("slots", service::uints_to_json(ck.eval.slots));
-  eval.set("hpwl_total", json::Value(ck.eval.hpwl_total));
-  eval.set("wire_sums", service::doubles_to_json(ck.eval.wire_sums));
-  eval.set("swaps_applied",
-           json::Value(static_cast<double>(ck.eval.swaps_applied)));
-  eval.set("swaps_since_rebuild",
-           json::Value(static_cast<double>(ck.eval.swaps_since_rebuild)));
-  root.set("eval", std::move(eval));
+  out.key("eval").begin_object();
+  write_uints(out.key("slots"), ck.eval.slots);
+  out.key("hpwl_total").number(ck.eval.hpwl_total);
+  out.key("wire_sums").numbers(ck.eval.wire_sums);
+  out.key("swaps_applied").number(static_cast<double>(ck.eval.swaps_applied));
+  out.key("swaps_since_rebuild")
+      .number(static_cast<double>(ck.eval.swaps_since_rebuild));
+  out.end_object();
 
-  json::Value search = json::Value::object();
-  json::Value rng = json::Value::object();
-  json::Value words = json::Value::array();
-  for (std::uint64_t w : ck.search.rng.s) {
-    words.push_back(json::Value(service::hex_u64(w)));
-  }
-  rng.set("s", std::move(words));
-  rng.set("spare", json::Value(ck.search.rng.spare));
-  rng.set("has_spare", json::Value(ck.search.rng.has_spare));
-  search.set("rng", std::move(rng));
-  json::Value entries = json::Value::array();
+  out.key("search").begin_object();
+  out.key("rng").begin_object();
+  out.key("s").begin_array();
+  for (const std::uint64_t w : ck.search.rng.s) out.string(service::hex_u64(w));
+  out.end_array();
+  out.key("spare").number(ck.search.rng.spare);
+  out.key("has_spare").boolean(ck.search.rng.has_spare);
+  out.end_object();
+  out.key("tabu_entries").begin_array();
   for (const tabu::Move& m : ck.search.tabu_entries) {
-    json::Value pair = json::Value::array();
-    pair.push_back(json::Value(static_cast<double>(m.a)));
-    pair.push_back(json::Value(static_cast<double>(m.b)));
-    entries.push_back(std::move(pair));
+    out.begin_array();
+    out.number(static_cast<double>(m.a));
+    out.number(static_cast<double>(m.b));
+    out.end_array();
   }
-  search.set("tabu_entries", std::move(entries));
-  json::Value freq = json::Value::object();
-  freq.set("counts", service::uints_to_json(ck.search.frequency.counts));
-  freq.set("improving_counts",
-           service::uints_to_json(ck.search.frequency.improving_counts));
-  freq.set("transitions",
-           json::Value(static_cast<double>(ck.search.frequency.transitions)));
-  freq.set("max_count",
-           json::Value(static_cast<double>(ck.search.frequency.max_count)));
-  freq.set("max_improving",
-           json::Value(static_cast<double>(ck.search.frequency.max_improving)));
-  search.set("frequency", std::move(freq));
-  search.set("best_cost", json::Value(ck.search.best_cost));
-  search.set("best_quality", json::Value(ck.search.best_quality));
-  search.set("best_objectives",
-             service::objectives_to_json(ck.search.best_objectives));
-  search.set("best_slots", service::uints_to_json(ck.search.best_slots));
-  search.set("stats", service::stats_to_json(ck.search.stats));
-  root.set("search", std::move(search));
+  out.end_array();
+  const tabu::FrequencyMemory::State& freq = ck.search.frequency;
+  out.key("frequency").begin_object();
+  write_uints(out.key("counts"), freq.counts);
+  write_uints(out.key("improving_counts"), freq.improving_counts);
+  out.key("transitions").number(static_cast<double>(freq.transitions));
+  out.key("max_count").number(static_cast<double>(freq.max_count));
+  out.key("max_improving").number(static_cast<double>(freq.max_improving));
+  out.end_object();
+  out.key("best_cost").number(ck.search.best_cost);
+  out.key("best_quality").number(ck.search.best_quality);
+  service::write_objectives(out.key("best_objectives"),
+                            ck.search.best_objectives);
+  write_uints(out.key("best_slots"), ck.search.best_slots);
+  service::write_stats(out.key("stats"), ck.search.stats);
+  out.end_object();
 
-  root.set("cost_trace", service::series_to_json(ck.cost_trace));
-  root.set("best_trace", service::series_to_json(ck.best_trace));
-  root.set("best_vs_time", service::series_to_json(ck.best_vs_time));
-  return json::dump(root);
+  service::write_series(out.key("cost_trace"), ck.cost_trace);
+  service::write_series(out.key("best_trace"), ck.best_trace);
+  service::write_series(out.key("best_vs_time"), ck.best_vs_time);
+  out.end_object();
+  return text;
 }
 
 std::string decode_checkpoint(const std::string& text, Checkpoint* out) {
   PTS_CHECK(out != nullptr);
   std::string parse_error;
-  const auto root = json::parse(text, &parse_error);
-  if (!root.has_value()) return "checkpoint: invalid JSON: " + parse_error;
+  if (!json::validate(text, &parse_error)) {
+    return "checkpoint: invalid JSON: " + parse_error;
+  }
 
   // Every key is required: a checkpoint is only resumable whole.
   std::string err;
   Checkpoint ck;
-  ObjectReader reader(*root, "checkpoint", err, ObjectReader::Keys::Required);
+  ObjectReader reader(json::Node::root(text), "checkpoint", err,
+                      ObjectReader::Keys::Required);
   std::uint64_t version = 0;
   reader.read_uint("version", version);
   if (version != 1) reader.fail("unsupported version");
@@ -258,19 +258,28 @@ std::string decode_checkpoint(const std::string& text, Checkpoint* out) {
       rng->read_bool("has_spare", ck.search.rng.has_spare);
       rng->finish();
     }
-    if (const json::Value* entries = search->read_array("tabu_entries")) {
+    if (const auto entries = search->read_array("tabu_entries")) {
       constexpr auto kMaxCell = ObjectReader::max_of<netlist::CellId>();
-      for (const json::Value& pair : entries->items()) {
-        std::uint64_t a = 0, b = 0;
-        if (!pair.is_array() || pair.items().size() != 2 ||
-            !ObjectReader::uint_value(pair.items()[0], kMaxCell, a) ||
-            !ObjectReader::uint_value(pair.items()[1], kMaxCell, b)) {
-          search->fail("tabu_entries must hold [a, b] cell-id pairs");
-          break;
+      entries->for_each_item([&](const json::Node& pair) {
+        std::uint64_t ids[2] = {0, 0};
+        std::size_t count = 0;
+        bool valid = pair.kind() == json::Kind::Array;
+        if (valid) {
+          pair.for_each_item([&](const json::Node& id) {
+            valid = count < 2 && ObjectReader::uint_value(id, kMaxCell, ids[count]);
+            ++count;
+            return valid;
+          });
         }
-        ck.search.tabu_entries.push_back(tabu::Move{
-            static_cast<netlist::CellId>(a), static_cast<netlist::CellId>(b)});
-      }
+        if (!valid || count != 2) {
+          search->fail("tabu_entries must hold [a, b] cell-id pairs");
+          return false;
+        }
+        ck.search.tabu_entries.push_back(
+            tabu::Move{static_cast<netlist::CellId>(ids[0]),
+                       static_cast<netlist::CellId>(ids[1])});
+        return true;
+      });
     }
     if (auto freq = search->read_object("frequency")) {
       freq->read_uints("counts", ck.search.frequency.counts);

@@ -20,9 +20,11 @@
 // across processes. u64 fields (seed, circuit hash, RNG state words) are
 // hex strings because JSON numbers are doubles (exact only to 2^53);
 // everything else uses the service JSON core's bit-exact double round-trip.
-// decode_checkpoint() reads through service/schema.hpp's strict reader with
-// every key required, and never aborts: malformed input returns an error
-// string.
+// encode_checkpoint() streams through the same writer as specs and results
+// (service/json.hpp), and decode_checkpoint() validates the text once and
+// reads it in place through service/schema.hpp's strict reader with every
+// key required — no document tree on either side. It never aborts:
+// malformed input returns an error string.
 #pragma once
 
 #include <cstdint>

@@ -24,6 +24,9 @@
 //     three threads probing one Evaluator through their own scratches get
 //     its own probe_batch's costs, and leave its pending probe committable.
 //  6. Checkpoint/resume equals the uninterrupted run.
+//  8. The JSON codec: byte-flipped, truncated and spliced specs, results
+//     and checkpoints either decode or return an error, never abort, and
+//     an accepted document re-encodes to a fixed point.
 //  7. The runner-up probe kernel: probe_nets_batch + commit_probe (x
 //     runner-ups advanced incrementally) stays in lockstep with
 //     update_nets (everything recomputed), on the fuzz circuits and on a
@@ -40,6 +43,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,6 +51,7 @@
 #include "cost/evaluator.hpp"
 #include "netlist/generator.hpp"
 #include "parallel/shared_engine.hpp"
+#include "service/codec.hpp"
 #include "solver/checkpoint.hpp"
 #include "placement/hpwl.hpp"
 #include "placement/overlay.hpp"
@@ -890,6 +895,98 @@ TEST(PropertyFuzz, ResumedSearchMatchesUninterruptedBitForBit) {
         << config.name;
   }
   ASSERT_GT(tested, 0);
+}
+
+// -- property 8: mutated documents decode or fail, never abort ---------------
+
+/// Decodes `text` as a spec (kind 0), result (1) or checkpoint (2). Returns
+/// the re-encoding of what it decoded, or nullopt with the error set.
+std::optional<std::string> decode_reencode(int kind, const std::string& text,
+                                           std::string& error) {
+  if (kind == 0) {
+    const auto job = service::decode_spec(text, &error);
+    if (!job) return std::nullopt;
+    return service::encode_spec(*job);
+  }
+  if (kind == 1) {
+    const auto result = service::decode_result(text, &error);
+    if (!result) return std::nullopt;
+    return service::encode_result(*result);
+  }
+  solver::Checkpoint ck;
+  error = solver::decode_checkpoint(text, &ck);
+  if (!error.empty()) return std::nullopt;
+  return solver::encode_checkpoint(ck);
+}
+
+TEST(PropertyFuzz, MutatedDocumentsDecodeOrErrorAndReencodeToAFixedPoint) {
+  const Netlist nl = netlist::generate_circuit(fuzz_configs().front());
+  solver::SolveSpec spec;
+  spec.engine = "tabu";
+  spec.netlist = &nl;
+  spec.seed = 5;
+  spec.tabu.iterations = 30;
+  spec.stop.max_iterations = 12;
+  const auto run = solver::solve_with_checkpoint(spec);
+  service::JobRequest job;
+  job.circuit = "fuzz";
+  job.spec = spec;
+  job.spec.initial_slots = run.result.best_slots;
+  job.spec.stop.target_cost = 0.25;
+  const std::vector<std::string> docs = {
+      service::encode_spec(job), service::encode_result(run.result),
+      solver::encode_checkpoint(run.checkpoint)};
+
+  // Mutations favour the bytes JSON structure is made of, so many mutants
+  // stay well-formed and reach the schema layer.
+  const std::string alphabet = "{}[]\",:-+.eE0123456789tfnul\\ ";
+  Rng rng(0xF022ULL);
+  std::size_t accepted = 0, rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const int kind = static_cast<int>(rng.below(docs.size()));
+    std::string text = docs[static_cast<std::size_t>(kind)];
+    switch (rng.below(3)) {
+      case 0: {  // flip a few bytes
+        const std::size_t flips = 1 + rng.below(4);
+        for (std::size_t f = 0; f < flips; ++f) {
+          const std::size_t at = rng.below(text.size());
+          text[at] = rng.chance(0.8)
+                         ? alphabet[rng.below(alphabet.size())]
+                         : static_cast<char>(rng.below(256));
+        }
+        break;
+      }
+      case 1:  // truncate
+        text.resize(rng.below(text.size() + 1));
+        break;
+      default: {  // splice a slice of any document over a random range
+        const std::string& donor = docs[rng.below(docs.size())];
+        const std::size_t from = rng.below(donor.size());
+        const std::size_t length = rng.below(std::min<std::size_t>(
+            64, donor.size() - from) + 1);
+        const std::size_t at = rng.below(text.size() + 1);
+        const std::size_t cut = rng.below(std::min<std::size_t>(
+            64, text.size() - at) + 1);
+        text.replace(at, cut, donor.substr(from, length));
+        break;
+      }
+    }
+    std::string error;
+    const auto again = decode_reencode(kind, text, error);
+    if (!again) {
+      ASSERT_FALSE(error.empty()) << "round " << round;
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    std::string again_error;
+    const auto fixed = decode_reencode(kind, *again, again_error);
+    ASSERT_TRUE(fixed.has_value()) << "round " << round << ": " << again_error;
+    ASSERT_EQ(*fixed, *again) << "round " << round;
+  }
+  // Both outcomes must actually occur, or the mutations test nothing.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 }  // namespace

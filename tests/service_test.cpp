@@ -6,6 +6,8 @@
 // same-seed solver::solve.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -116,63 +119,121 @@ void expect_deterministic_fields_eq(const SolveResult& a, const SolveResult& b) 
 
 // -- json --------------------------------------------------------------------
 
-TEST(Json, ParseDumpRoundTrip) {
-  const std::string text =
-      R"({"a":1,"b":[true,false,null],"c":{"nested":"va\"l\\ue"},"d":-2.5})";
+TEST(Json, WriteValidateReadRoundTrip) {
+  std::string text;
+  json::Writer out(text);
+  out.begin_object();
+  out.key("a").number(1.0);
+  out.key("b").begin_array();
+  out.boolean(true);
+  out.boolean(false);
+  out.null();
+  out.end_array();
+  out.key("c").begin_object();
+  out.key("nested").string("va\"l\\ue");
+  out.end_object();
+  out.key("d").number(-2.5);
+  out.end_object();
+  EXPECT_EQ(text,
+            R"({"a":1,"b":[true,false,null],"c":{"nested":"va\"l\\ue"},"d":-2.5})");
   std::string error;
-  auto value = json::parse(text, &error);
-  ASSERT_TRUE(value.has_value()) << error;
-  EXPECT_EQ(json::dump(*value), text);
+  ASSERT_TRUE(json::validate(text, &error)) << error;
 
-  const auto* a = value->find("a");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->as_number(), 1.0);
-  const auto* b = value->find("b");
-  ASSERT_NE(b, nullptr);
-  ASSERT_EQ(b->items().size(), 3u);
-  EXPECT_TRUE(b->items()[0].as_bool());
-  EXPECT_TRUE(b->items()[2].is_null());
-  EXPECT_EQ(value->find("c")->find("nested")->as_string(), "va\"l\\ue");
-  EXPECT_EQ(value->find("missing"), nullptr);
+  const json::Node root = json::Node::root(text);
+  ASSERT_EQ(root.kind(), json::Kind::Object);
+  std::vector<std::string> keys;
+  root.for_each_member([&](std::string_view key, const json::Node& value) {
+    keys.emplace_back(key);
+    if (key == "a") {
+      EXPECT_EQ(value.as_number(), 1.0);
+    }
+    if (key == "b") {
+      std::vector<json::Kind> kinds;
+      value.for_each_item([&](const json::Node& item) {
+        kinds.push_back(item.kind());
+        return true;
+      });
+      EXPECT_EQ(kinds, (std::vector<json::Kind>{json::Kind::Bool, json::Kind::Bool,
+                                                json::Kind::Null}));
+    }
+    if (key == "c") {
+      value.for_each_member([&](std::string_view inner, const json::Node& v) {
+        EXPECT_EQ(inner, "nested");
+        EXPECT_EQ(v.as_string(), "va\"l\\ue");
+      });
+    }
+    if (key == "d") {
+      EXPECT_EQ(value.as_number(), -2.5);
+    }
+  });
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "c", "d"}));
+  EXPECT_EQ(root.end(), text.size());
 }
 
 TEST(Json, UnicodeEscapes) {
+  const std::string text = R"("aAé€😀")";
   std::string error;
-  auto value = json::parse(R"("aAé€😀")", &error);
-  ASSERT_TRUE(value.has_value()) << error;
-  EXPECT_EQ(value->as_string(), "aA\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+  ASSERT_TRUE(json::validate(text, &error)) << error;
+  EXPECT_EQ(json::Node::root(text).as_string(),
+            "aA\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
   // Lone surrogate is malformed.
-  EXPECT_FALSE(json::parse(R"("\ud83d")", &error).has_value());
+  EXPECT_FALSE(json::validate(R"("\ud83d")", &error));
+  EXPECT_EQ(error, "lone surrogate (at byte 7)");
 }
 
 TEST(Json, DoublesRoundTripBitExact) {
   for (const double v : {0.1, 1.0 / 3.0, 1e-300, 1.7976931348623157e308,
                          -0.0, 4503599627370496.0, 3.141592653589793}) {
-    json::Value value(v);
+    std::string text;
+    json::Writer(text).number(v);
     std::string error;
-    auto back = json::parse(json::dump(value), &error);
-    ASSERT_TRUE(back.has_value()) << error;
-    const double r = back->as_number();
+    ASSERT_TRUE(json::validate(text, &error)) << error;
+    const double r = json::Node::root(text).as_number();
     EXPECT_EQ(std::memcmp(&r, &v, sizeof(double)), 0)
         << "double " << v << " did not round-trip bit-exactly";
+  }
+  // Integers print as doubles do, exponent form included.
+  std::string text;
+  json::Writer out(text);
+  out.begin_array();
+  for (const double v : {99999.0, 100000.0, 123456.0}) out.number(v);
+  out.end_array();
+  EXPECT_EQ(text, "[99999,1e+05,123456]");
+}
+
+// The writer prints whole numbers below 1e5 without std::to_chars; the
+// bytes must still be exactly the ones to_chars gives, for every value.
+TEST(Json, WholeNumbersPrintAsToCharsDoes) {
+  const auto to_chars_text = [](double v) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
+  std::vector<double> values;
+  for (int v = 0; v <= 200000; ++v) values.push_back(v);
+  for (const double v : {-0.0, -1.0, 0.5, 99999.5, 1e5 - 1e-9, 4294967296.0,
+                         1e15, 9007199254740992.0}) {
+    values.push_back(v);
+  }
+  for (const double v : values) {
+    std::string text;
+    json::Writer(text).number(v);
+    ASSERT_EQ(text, to_chars_text(v)) << v;
   }
 }
 
 TEST(Json, MalformedInputsAreErrorsNotAborts) {
   std::string error;
-  EXPECT_FALSE(json::parse("", &error).has_value());
-  EXPECT_FALSE(json::parse("{", &error).has_value());
-  EXPECT_FALSE(json::parse("[1,]", &error).has_value());
-  EXPECT_FALSE(json::parse("{\"a\":1} junk", &error).has_value());
-  EXPECT_FALSE(json::parse("nul", &error).has_value());
-  EXPECT_FALSE(json::parse("\"unterminated", &error).has_value());
+  EXPECT_FALSE(json::validate("", &error));
+  EXPECT_FALSE(json::validate("{", &error));
+  EXPECT_FALSE(json::validate("[1,]", &error));
+  EXPECT_FALSE(json::validate("{\"a\":1} junk", &error));
+  EXPECT_FALSE(json::validate("nul", &error));
+  EXPECT_FALSE(json::validate("\"unterminated", &error));
   // Depth cap: 65 nested arrays exceed the 64-level limit...
-  EXPECT_FALSE(
-      json::parse(std::string(65, '[') + std::string(65, ']'), &error).has_value());
+  EXPECT_FALSE(json::validate(std::string(65, '[') + std::string(65, ']'), &error));
   EXPECT_NE(error.find("deep"), std::string::npos);
   // ...while 64 parse fine.
-  EXPECT_TRUE(
-      json::parse(std::string(64, '[') + std::string(64, ']'), &error).has_value());
+  EXPECT_TRUE(json::validate(std::string(64, '[') + std::string(64, ']'), &error));
 }
 
 // -- codec -------------------------------------------------------------------
@@ -1033,14 +1094,18 @@ TEST(SessionManager, CachesDeterministicResultsWithLruEviction) {
   options.cache_entries = 2;
   SessionManager manager(options);
 
+  struct Done {
+    SolveResult result;
+    Payload payload;
+  };
   const auto run = [&](std::uint64_t seed, const std::string& key) {
-    std::promise<SolveResult> promise;
+    std::promise<Done> promise;
     auto future = promise.get_future();
     const auto started = manager.start(
         highway_spec("tabu", seed, 40), /*owner=*/1, /*stream=*/false, 0,
         [&promise](SessionEvent&& event) {
           if (event.kind == SessionEvent::Kind::Done) {
-            promise.set_value(std::move(event.result));
+            promise.set_value({std::move(event.result), std::move(event.payload)});
           }
         },
         /*deadline_seconds=*/0.0, key);
@@ -1048,24 +1113,39 @@ TEST(SessionManager, CachesDeterministicResultsWithLruEviction) {
     return future.get();
   };
 
-  const SolveResult first = run(1, "job-a");
+  const Done first = run(1, "job-a");
   EXPECT_EQ(manager.cache_size(), 1u);
+  // The Done payload is the result encoded once, in an exact-size buffer.
+  ASSERT_NE(first.payload, nullptr);
+  EXPECT_EQ(*first.payload, encode_result(first.result));
+  EXPECT_EQ(first.payload->capacity(), first.payload->size());
+  EXPECT_EQ(manager.cache_bytes(), first.payload->size());
 
-  // A hit returns the bit-identical remembered result.
+  // A hit returns the very buffer the Done event carried (shared, not
+  // copied), which decodes to the bit-identical result.
   const auto hit = manager.cached_result("job-a");
   ASSERT_TRUE(hit.has_value());
-  expect_deterministic_fields_eq(*hit, first);
+  EXPECT_EQ(hit->get(), first.payload.get());
+  std::string error;
+  const auto decoded = decode_result(**hit, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  expect_deterministic_fields_eq(*decoded, first.result);
   EXPECT_EQ(manager.cache_hits(), 1u);
   EXPECT_FALSE(manager.cached_result("job-b").has_value());
   EXPECT_EQ(manager.cache_misses(), 1u);
 
   // Fill past the bound: "job-a" was just touched, so "job-b" (older) is
-  // the LRU victim when "job-d" lands.
-  run(2, "job-b");
+  // the LRU victim when "job-d" lands. cache_bytes() follows every insert
+  // and eviction exactly.
+  const Done b = run(2, "job-b");
+  EXPECT_EQ(manager.cache_bytes(), first.payload->size() + b.payload->size());
   run(1, "job-a");  // deterministic repeat; refreshes recency, no new entry
   EXPECT_EQ(manager.cache_size(), 2u);
-  run(3, "job-d");
+  EXPECT_EQ(manager.cache_bytes(), first.payload->size() + b.payload->size());
+  const Done d = run(3, "job-d");
   EXPECT_EQ(manager.cache_size(), 2u);
+  EXPECT_EQ(manager.cache_bytes(),
+            encode_result(first.result).size() + encode_result(d.result).size());
   EXPECT_TRUE(manager.cached_result("job-a").has_value());
   EXPECT_TRUE(manager.cached_result("job-d").has_value());
   EXPECT_FALSE(manager.cached_result("job-b").has_value());
@@ -1136,6 +1216,115 @@ TEST(DaemonCache, RepeatSubmissionIsServedBitIdenticallyWithoutASession) {
   client.close();
   daemon.stop();
   EXPECT_EQ(daemon.active_sessions(), 0u);
+}
+
+// -- repeated daemon lifetimes -----------------------------------------------
+
+/// Threads of this process, counted from /proc/self/task.
+std::size_t thread_count() {
+  std::size_t count = 0;
+  if (DIR* dir = ::opendir("/proc/self/task")) {
+    while (const dirent* entry = ::readdir(dir)) {
+      if (entry->d_name[0] != '.') ++count;
+    }
+    ::closedir(dir);
+  }
+  return count;
+}
+
+/// glibc heap state: bytes in use, bytes held from the system, and arenas.
+struct HeapSnapshot {
+  std::size_t in_use = 0;
+  std::size_t held = 0;
+  std::size_t arenas = 0;
+};
+
+HeapSnapshot heap_snapshot() {
+  HeapSnapshot snap;
+  const struct mallinfo2 info = ::mallinfo2();
+  snap.in_use = info.uordblks + info.hblkhd;
+  snap.held = info.arena + info.hblkhd;
+  char* xml = nullptr;
+  std::size_t size = 0;
+  if (FILE* out = ::open_memstream(&xml, &size)) {
+    ::malloc_info(0, out);
+    std::fclose(out);
+    for (const char* p = xml; (p = std::strstr(p, "<heap nr=")) != nullptr; ++p) {
+      ++snap.arenas;
+    }
+    std::free(xml);
+  }
+  return snap;
+}
+
+// Every daemon lifetime gives back what it took: after a daemon that served
+// misses and hits on three connections is destroyed, the thread count is
+// back to its baseline and every session it started has finished. The
+// printed heap lines tell retained memory from arenas the session threads
+// left behind (DESIGN.md section 12 records the numbers).
+TEST(DaemonCycles, RepeatedLifetimesReturnThreadsAndSessions) {
+  constexpr int kCycles = 5;
+  constexpr std::size_t kConnections = 3;
+  const std::size_t baseline = thread_count();
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    {
+      DaemonConfig config;
+      config.unix_path = fresh_socket_path();
+      config.cache_entries = 16;
+      Daemon daemon(config);
+      std::string error;
+      ASSERT_TRUE(daemon.start(&error)) << error;
+
+      std::vector<std::thread> connections;
+      for (std::size_t c = 0; c < kConnections; ++c) {
+        connections.emplace_back([&, c] {
+          Client client;
+          std::string err;
+          ASSERT_TRUE(client.connect_unix(config.unix_path, &err)) << err;
+          ASSERT_TRUE(client.hello(&err).has_value()) << err;
+          // Two seeds, each submitted twice: a miss, then a cache hit.
+          std::vector<SolveResult> results;
+          for (const std::uint64_t seed : {10 * c + 1, 10 * c + 2, 10 * c + 1,
+                                           10 * c + 2}) {
+            JobRequest job;
+            job.circuit = "c532";
+            job.spec.engine = "tabu";
+            job.spec.seed = seed;
+            job.spec.tabu.iterations = 30;
+            bool cached = false;
+            const auto id =
+                client.submit(job, false, 0, &err, nullptr, 0, &cached);
+            ASSERT_TRUE(id.has_value()) << err;
+            EXPECT_EQ(cached, results.size() >= 2);
+            auto result = client.wait(*id, nullptr, &err);
+            ASSERT_TRUE(result.has_value()) << err;
+            results.push_back(std::move(*result));
+          }
+          expect_deterministic_fields_eq(results[2], results[0]);
+          expect_deterministic_fields_eq(results[3], results[1]);
+        });
+      }
+      for (auto& connection : connections) connection.join();
+      daemon.stop();
+      EXPECT_EQ(daemon.sessions_started(), daemon.sessions_finished());
+      EXPECT_EQ(daemon.sessions_started(), 2 * kConnections);
+      EXPECT_EQ(daemon.cache_hits(), 2 * kConnections);
+      EXPECT_EQ(daemon.active_sessions(), 0u);
+    }
+    // A joined thread can linger in /proc for a moment after join returns.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (thread_count() != baseline &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(thread_count(), baseline) << "cycle " << cycle;
+    const HeapSnapshot heap = heap_snapshot();
+    std::printf("cycle %d: threads %zu, heap in use %zu KB, held %zu KB, "
+                "arenas %zu\n",
+                cycle, thread_count(), heap.in_use / 1024, heap.held / 1024,
+                heap.arenas);
+  }
 }
 
 }  // namespace
