@@ -29,8 +29,6 @@ std::size_t number_end(std::string_view text, std::size_t pos) {
   return pos;
 }
 
-bool is_digit(char c) { return c >= '0' && c <= '9'; }
-
 }  // namespace
 
 bool read_number_token(std::string_view text, std::size_t pos, std::size_t& end,
@@ -238,19 +236,6 @@ class Validator {
     pos_ = skip_whitespace(text_, pos_);
     if (consume(']')) return true;
     while (true) {
-      if (depth + 1 < kMaxDepth) {
-        // Fast lane for the common element of slot and id arrays: a short
-        // digit-only number directly followed by ',' or ']'. It accepts
-        // exactly what the general path below accepts for that text.
-        std::size_t end = pos_;
-        while (end < text_.size() && is_digit(text_[end])) ++end;
-        if (end > pos_ && end - pos_ <= 15 && end < text_.size() &&
-            (text_[end] == ',' || text_[end] == ']')) {
-          pos_ = end + 1;
-          if (text_[end] == ']') return true;
-          continue;
-        }
-      }
       if (!value(depth + 1)) return false;
       pos_ = skip_whitespace(text_, pos_);
       if (consume(']')) return true;
@@ -292,22 +277,6 @@ Writer& Writer::key(std::string_view name) {
 
 void Writer::number(double value) {
   separate();
-  // Whole numbers below 1e5 (slot and cell ids, counters) get the digits
-  // to_chars would print — it switches to exponent form only from 1e+05 —
-  // without its shortest-form search. -0.0 keeps its sign via to_chars.
-  if (!std::signbit(value) && value < 1e5) {
-    auto whole = static_cast<std::uint32_t>(value);
-    if (static_cast<double>(whole) == value) {
-      char buf[8];
-      char* first = buf + sizeof(buf);
-      do {
-        *--first = static_cast<char>('0' + whole % 10);
-        whole /= 10;
-      } while (whole != 0);
-      out_.append(first, buf + sizeof(buf));
-      return;
-    }
-  }
   if (!std::isfinite(value)) {
     out_ += "null";
     return;
