@@ -66,7 +66,7 @@ MACRO_ENGINES = ("tabu", "anneal", "parallel-sim", "parallel-shared")
 MACRO_ENGINE_KEYS = ("wall_ms", "makespan_s", "initial_cost", "best_cost",
                      "best_quality", "tt50_s")
 SCALING_THREADS = ("1", "2", "4", "8")
-SCALING_KEYS = ("makespan_s", "trials_per_s", "speedup_vs_1")
+SCALING_KEYS = ("threads_used", "makespan_s", "trials_per_s", "speedup_vs_1")
 
 
 def fail(message):
@@ -179,6 +179,10 @@ def run_macro(binary):
             if not point["speedup_vs_1"] > 0:
                 fail(f"MACRO entry {entry['circuit']} shared_scaling[{threads}]"
                      f" non-positive speedup_vs_1")
+            if not 1 <= point["threads_used"] <= int(threads):
+                fail(f"MACRO entry {entry['circuit']} shared_scaling[{threads}]"
+                     f" threads_used {point['threads_used']} outside "
+                     f"[1, {threads}]")
         profile = entry["probe_profile"]
         absent = [k for k in PROFILE_KEYS if k not in profile]
         if absent:
@@ -258,7 +262,8 @@ def main():
         for circuit, entry in sorted(result["macro_scale"].items()):
             scaling = entry["shared_scaling"]
             speedups = ", ".join(
-                f"{t}T {scaling[t]['speedup_vs_1']:.2f}x"
+                f"{t}T ({scaling[t]['threads_used']} used) "
+                f"{scaling[t]['speedup_vs_1']:.2f}x"
                 for t in SCALING_THREADS)
             eco = entry["eco"]
             profile = entry["probe_profile"]

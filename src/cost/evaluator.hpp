@@ -61,6 +61,13 @@ struct Move {
 /// the chunking, so this is a throughput constant, not a search parameter.
 inline constexpr std::size_t kProbeBatchWidth = 8;
 
+/// Trials of one compound level each pool thread of the shared-memory
+/// engine must get — two full probe batches — before a level is worth
+/// handing to a thread at all (parallel::SharedEngine::effective_threads).
+/// Also a throughput constant: the engine's trajectory does not depend on
+/// its thread count.
+inline constexpr std::size_t kMinTrialsPerThread = 2 * kProbeBatchWidth;
+
 class Evaluator;
 
 /// Everything one probe writes: the moved list and its staged positions,

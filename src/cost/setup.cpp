@@ -1,0 +1,26 @@
+#include "cost/setup.hpp"
+
+#include <utility>
+
+#include "placement/placement.hpp"
+#include "support/rng.hpp"
+#include "timing/paths.hpp"
+
+namespace pts::cost {
+
+EvaluatorSetup make_evaluator_setup(const netlist::Netlist& nl,
+                                    const CostParams& params,
+                                    std::uint64_t init_seed) {
+  EvaluatorSetup setup;
+  setup.layout = std::make_unique<placement::Layout>(nl);
+  Rng init_rng(init_seed);
+  auto initial = placement::Placement::random(nl, *setup.layout, init_rng);
+  auto paths =
+      timing::extract_critical_paths(nl, params.num_paths, params.delay_model);
+  const FuzzyGoals goals = Evaluator::calibrate_goals(initial, *paths, params);
+  setup.eval = std::make_unique<Evaluator>(std::move(initial), std::move(paths),
+                                           params, goals);
+  return setup;
+}
+
+}  // namespace pts::cost

@@ -2,8 +2,8 @@
 
 namespace pts::parallel {
 
-std::size_t clamp_workers(std::size_t requested, std::size_t num_movable) {
-  const std::size_t cap = num_movable >= 1 ? num_movable : 1;
+std::size_t clamp_workers(std::size_t requested, std::size_t cap) {
+  if (cap < 1) cap = 1;
   if (requested < 1) return 1;
   return requested < cap ? requested : cap;
 }

@@ -42,10 +42,12 @@ struct SimCosts {
 /// (not in shared_engine.hpp) so SolveSpec can embed it without pulling the
 /// engine into the solver header.
 struct SharedParams {
-  /// Worker threads sharing the candidate evaluation; clamped to the number
-  /// of movable cells (and to >= 1) by the engine. Results are independent
-  /// of the thread count (see shared_engine.hpp), so this is purely a
-  /// throughput knob.
+  /// The most worker threads the candidate evaluation may use. The engine
+  /// uses fewer (at least 1) when a compound level is too narrow to give
+  /// each thread two probe batches, or when there are fewer movable cells
+  /// (SharedEngine::effective_threads). Results are independent of the
+  /// thread count (see shared_engine.hpp), so this is purely a throughput
+  /// knob.
   std::size_t threads = 4;
 };
 
@@ -126,6 +128,11 @@ struct PtsResult {
     return best_vs_time.first_x_reaching(cost_threshold);
   }
 };
+
+/// `requested` workers clamped to [1, cap], or to 1 when cap is 0. Every
+/// parallel engine clamps its worker counts to the movable-cell count: more
+/// workers than cells cannot all do useful work.
+std::size_t clamp_workers(std::size_t requested, std::size_t cap);
 
 /// Immutable per-run setup shared by all workers of one search: layout,
 /// initial solution, monitored paths, calibrated goals. The stored config

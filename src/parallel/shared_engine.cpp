@@ -1,14 +1,14 @@
 #include "parallel/shared_engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "cost/evaluator.hpp"
-#include "placement/placement.hpp"
+#include "cost/setup.hpp"
 #include "support/parallel_for.hpp"
 #include "support/stopwatch.hpp"
-#include "timing/paths.hpp"
 
 namespace pts::parallel {
 
@@ -60,39 +60,34 @@ SharedEngine::SharedEngine(const netlist::Netlist& netlist,
 }
 
 std::size_t SharedEngine::effective_threads() const {
-  const std::size_t cap =
-      netlist_->num_movable() >= 1 ? netlist_->num_movable() : 1;
-  const std::size_t requested = config_.params.threads;
-  if (requested < 1) return 1;
-  return requested < cap ? requested : cap;
+  const std::size_t width_cap =
+      config_.tabu.compound.width / cost::kMinTrialsPerThread;
+  return clamp_workers(config_.params.threads,
+                       std::min(netlist_->num_movable(), width_cap));
 }
 
 SharedResult SharedEngine::run() { return run(RunControl{}); }
 
 SharedResult SharedEngine::run(const RunControl& control) {
-  const netlist::Netlist& nl = *netlist_;
   const std::size_t threads = effective_threads();
-
-  // Setup recipe identical to the solver's sequential engines: layout,
-  // init-stream random placement, K critical paths, goals calibrated
-  // against the initial solution.
-  const placement::Layout layout(nl);
-  Rng init_rng(config_.init_seed);
-  auto initial = placement::Placement::random(nl, layout, init_rng);
-  auto paths = timing::extract_critical_paths(nl, config_.cost.num_paths,
-                                              config_.cost.delay_model);
-  const cost::FuzzyGoals goals =
-      cost::Evaluator::calibrate_goals(initial, *paths, config_.cost);
-  cost::Evaluator coordinator(std::move(initial), paths, config_.cost, goals);
+  // The sequential engines' setup recipe, so one thread is "tabu" exactly.
+  const cost::EvaluatorSetup setup =
+      cost::make_evaluator_setup(*netlist_, config_.cost, config_.init_seed);
+  cost::Evaluator& coordinator = *setup.eval;
 
   SharedResult out;
   out.initial_cost = coordinator.cost();
   out.threads_used = threads;
 
-  ThreadPool pool(threads);
-  SharedCompoundStrategy strategy(pool, coordinator);
+  // One thread runs the sequential loop's own tabu::commit_best_trial.
+  std::optional<ThreadPool> pool;
+  std::optional<SharedCompoundStrategy> strategy;
+  if (threads > 1) {
+    pool.emplace(threads);
+    strategy.emplace(*pool, coordinator);
+  }
   tabu::TabuSearch search(coordinator, config_.tabu, Rng(config_.search_seed));
-  search.set_compound_strategy(&strategy);
+  if (strategy) search.set_compound_strategy(&*strategy);
   const Stopwatch watch;
   out.search = search.run(control);
   out.makespan = watch.seconds();

@@ -34,9 +34,18 @@
 //     state equals the sequential loop's commit; the probes stay pending in
 //     the threads' scratches, which nothing promotes.
 //
-// Worker threads persist for the whole run (ThreadPool); a level dispatches
-// one parallel region. Oversubscribed thread counts are clamped to the
-// movable-cell count, mirroring the TSW/CLW engines' worker clamp.
+// Thread count: a level is handed to the pool only when every thread gets
+// at least cost::kMinTrialsPerThread of its trials (two full probe
+// batches); below that the handoff costs more than the probes it spreads.
+// So the engine runs clamp_workers(threads, min(movable cells, width /
+// kMinTrialsPerThread)) threads — the movable-cell part mirrors the TSW/CLW
+// engines' worker clamp. Paper circuits (width 8) run on one thread,
+// scale10k (width 100) on up to 6 and scale50k (width 223) on up to 13. A
+// one-thread run is the sequential loop itself: no ThreadPool, no
+// SharedCompoundStrategy, no worker scratch. On more threads the workers
+// persist for the whole run (ThreadPool) and a level dispatches one
+// parallel region. Property 2 makes where a level runs invisible in the
+// result.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +80,7 @@ struct SharedResult {
   /// computes.
   tabu::SearchResult search;
   double makespan = 0.0;  ///< wall seconds
-  std::size_t threads_used = 0;  ///< after the movable-cell clamp
+  std::size_t threads_used = 0;  ///< effective_threads(): after the clamp
 };
 
 /// The compound-level strategy SharedEngine installs into TabuSearch: the
@@ -115,7 +124,8 @@ class SharedEngine {
   SharedResult run();
   SharedResult run(const RunControl& control);
 
-  /// config.params.threads clamped to [1, num_movable].
+  /// The threads a run uses: config.params.threads clamped to [1,
+  /// min(num_movable, compound width / cost::kMinTrialsPerThread)].
   std::size_t effective_threads() const;
 
  private:

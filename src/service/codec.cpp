@@ -113,12 +113,13 @@ std::string encode_spec(const JobRequest& job) {
 }
 
 std::optional<JobRequest> decode_spec(std::string_view text, std::string* error) {
-  if (!json::validate(text, error)) return std::nullopt;
+  json::Document doc;
+  if (!doc.parse(text, error)) return std::nullopt;
   std::string err;
   JobRequest job;
   solver::SolveSpec& spec = job.spec;
 
-  ObjectReader reader(json::Node::root(text), "spec", err);
+  ObjectReader reader(doc.root(), "spec", err);
   reader.read_string("circuit", job.circuit);
   reader.read_string("engine", spec.engine);
   reader.read_uint("seed", spec.seed);
@@ -225,11 +226,12 @@ std::string encode_result(const solver::SolveResult& result) {
 
 std::optional<solver::SolveResult> decode_result(std::string_view text,
                                                  std::string* error) {
-  if (!json::validate(text, error)) return std::nullopt;
+  json::Document doc;
+  if (!doc.parse(text, error)) return std::nullopt;
   std::string err;
   solver::SolveResult result;
 
-  ObjectReader reader(json::Node::root(text), "result", err);
+  ObjectReader reader(doc.root(), "result", err);
   reader.read_string("engine", result.engine);
   reader.read_double("initial_cost", result.initial_cost);
   reader.read_double("best_cost", result.best_cost);

@@ -1,5 +1,6 @@
 #include "service/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -158,9 +159,12 @@ void append_escaped(std::string_view s, std::string& out) {
 
 // -- validation -------------------------------------------------------------
 
+/// Checks a document in one pass, recording in `spans`, in closing order,
+/// every container of at least Document::kRecordedSpan bytes.
 class Validator {
  public:
-  explicit Validator(std::string_view text) : text_(text) {}
+  Validator(std::string_view text, std::vector<Document::Span>& spans)
+      : text_(text), spans_(spans) {}
 
   bool run(std::string* error) {
     if (!value(0)) {
@@ -232,21 +236,23 @@ class Validator {
   }
 
   bool array(int depth) {
+    const std::size_t open = pos_;
     consume('[');
     pos_ = skip_whitespace(text_, pos_);
-    if (consume(']')) return true;
+    if (consume(']')) return closed(open);
     while (true) {
       if (!value(depth + 1)) return false;
       pos_ = skip_whitespace(text_, pos_);
-      if (consume(']')) return true;
+      if (consume(']')) return closed(open);
       if (!consume(',')) return fail("expected ',' or ']' in array");
     }
   }
 
   bool object(int depth) {
+    const std::size_t open = pos_;
     consume('{');
     pos_ = skip_whitespace(text_, pos_);
-    if (consume('}')) return true;
+    if (consume('}')) return closed(open);
     while (true) {
       pos_ = skip_whitespace(text_, pos_);
       if (!string()) return false;
@@ -254,12 +260,19 @@ class Validator {
       if (!consume(':')) return fail("expected ':' in object");
       if (!value(depth + 1)) return false;
       pos_ = skip_whitespace(text_, pos_);
-      if (consume('}')) return true;
+      if (consume('}')) return closed(open);
       if (!consume(',')) return fail("expected ',' or '}' in object");
     }
   }
 
+  /// The container opened at `open` ends at pos_.
+  bool closed(std::size_t open) {
+    if (pos_ - open >= Document::kRecordedSpan) spans_.push_back({open, pos_});
+    return true;
+  }
+
   std::string_view text_;
+  std::vector<Document::Span>& spans_;
   std::size_t pos_ = 0;
   const char* why_ = nullptr;
 };
@@ -318,11 +331,26 @@ void Writer::numbers(std::span<const double> values) {
 
 // -- reader -----------------------------------------------------------------
 
-bool validate(std::string_view text, std::string* error) {
-  return Validator(text).run(error);
+bool Document::parse(std::string_view text, std::string* error) {
+  text_ = text;
+  spans_.clear();
+  if (!Validator(text, spans_).run(error)) return false;
+  // Containers close inner-first; lookups want them in opening order.
+  std::sort(spans_.begin(), spans_.end(),
+            [](const Span& x, const Span& y) { return x.open < y.open; });
+  return true;
 }
 
-Node Node::root(std::string_view text) { return Node(text, skip_whitespace(text, 0)); }
+Node Document::root() const {
+  return Node(*this, text_, skip_whitespace(text_, 0));
+}
+
+std::size_t Document::recorded_end(std::size_t open) const {
+  const auto it = std::lower_bound(
+      spans_.begin(), spans_.end(), open,
+      [](const Span& span, std::size_t pos) { return span.open < pos; });
+  return it != spans_.end() && it->open == open ? it->end : 0;
+}
 
 double Node::as_number() const {
   double value = 0.0;
@@ -346,6 +374,7 @@ std::size_t Node::end() const {
     case '"': return string_end(pos_);
     case '[':
     case '{': {
+      if (const std::size_t end = doc_->recorded_end(pos_)) return end;
       std::size_t depth = 0;
       std::size_t pos = pos_;
       while (true) {

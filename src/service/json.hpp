@@ -13,10 +13,12 @@
 // doubles and print the same way (100000 prints as 1e+05). Non-finite
 // doubles print as null (JSON has no NaN/Inf).
 //
-// Reader: validate() checks the whole text in one pass first, so a syntax
-// error is always reported before any schema error; Node then reads values
-// in place over the validated text. The accepted language is pinned from
-// outside by tests/wire_corpus_test.cpp:
+// Reader: Document::parse() validates the whole text in one pass first, so
+// a syntax error is always reported before any schema error; Node then
+// reads values in place over the validated text. The same pass records
+// where each long container ends, so stepping over one (Node::end) never
+// scans it a second time. The accepted language is pinned from outside by
+// tests/wire_corpus_test.cpp:
 //  - a number is an optional '-' and the longest run of [0-9.eE+-] after
 //    it, which std::from_chars must consume whole into a finite double —
 //    so 01, .5, 1. and 1e+05 are numbers, and +1, 1e999 and 1-2 are not.
@@ -36,6 +38,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace pts::service::json {
 
@@ -78,11 +81,6 @@ class Writer {
   bool need_comma_ = false;
 };
 
-/// Checks that `text` is exactly one JSON document of the language above
-/// (trailing garbage is an error). On failure returns false and, when
-/// `error` is non-null, "<why> (at byte N)".
-bool validate(std::string_view text, std::string* error);
-
 /// True for the characters a number token is scanned over.
 inline bool is_number_char(char c) {
   return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
@@ -116,16 +114,50 @@ inline bool read_number(std::string_view text, std::size_t pos, std::size_t& end
 
 enum class Kind { Null, Bool, Number, String, Array, Object };
 
-/// One value inside a document that validate() accepted: the text and the
-/// offset of the value's first byte. Reading scans the text; nothing is
-/// stored per value.
+class Node;
+
+/// A validated document: its text and where each of its long containers
+/// ends. The validating pass records the end of every array or object of at
+/// least kRecordedSpan bytes; Node::end() looks those up and scans only the
+/// shorter ones, which costs at most their own length.
+class Document {
+ public:
+  /// Containers at least this long are recorded. Leaving shorter ones out
+  /// bounds the table to one entry per kRecordedSpan bytes of text per
+  /// nesting level, whatever the text holds.
+  static constexpr std::size_t kRecordedSpan = 1024;
+
+  /// A recorded container: its opening bracket and the offset just past
+  /// its closing one.
+  struct Span {
+    std::size_t open = 0;
+    std::size_t end = 0;
+  };
+
+  /// Checks that `text` is exactly one JSON document of the language above
+  /// (trailing garbage is an error). On failure returns false and, when
+  /// `error` is non-null, sets it to "<why> (at byte N)". `text` must
+  /// outlive this document and every Node read from it.
+  bool parse(std::string_view text, std::string* error);
+
+  /// The top-level value; requires a successful parse().
+  Node root() const;
+
+ private:
+  friend class Node;
+
+  /// Offset just past the recorded container that opens at `open`, or 0
+  /// when none opens there (the container is shorter than kRecordedSpan).
+  std::size_t recorded_end(std::size_t open) const;
+
+  std::string_view text_;
+  std::vector<Span> spans_;  ///< ascending by open
+};
+
+/// One value inside a parsed Document: the text and the offset of the
+/// value's first byte. Reading scans the text; nothing is stored per value.
 class Node {
  public:
-  Node(std::string_view text, std::size_t pos) : text_(text), pos_(pos) {}
-
-  /// The top-level value of a validated document.
-  static Node root(std::string_view text);
-
   Kind kind() const {
     switch (text_[pos_]) {
       case 'n': return Kind::Null;
@@ -142,7 +174,7 @@ class Node {
   double as_number() const;
   /// The string with its escapes decoded.
   std::string as_string() const;
-  /// Offset just past this value.
+  /// Offset just past this value (a table lookup for a long container).
   std::size_t end() const;
 
   /// Calls fn(Node) for each array element in order while fn returns true.
@@ -150,7 +182,7 @@ class Node {
   void for_each_item(Fn&& fn) const {
     std::size_t pos = first_entry();
     while (pos != kNone) {
-      const Node item(text_, pos);
+      const Node item(*doc_, text_, pos);
       if (!fn(item)) return;
       pos = next_entry(item.end());
     }
@@ -181,16 +213,20 @@ class Node {
     while (pos != kNone) {
       const std::size_t key_end = string_end(pos);
       const std::string_view raw_key = text_.substr(pos + 1, key_end - pos - 2);
-      const Node value(text_, value_after_colon(key_end));
+      const Node value(*doc_, text_, value_after_colon(key_end));
       fn(raw_key, value);
       pos = next_entry(value.end());
     }
   }
 
  private:
+  friend class Document;
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  Kind kind_at(std::size_t pos) const { return Node(text_, pos).kind(); }
+  Node(const Document& doc, std::string_view text, std::size_t pos)
+      : doc_(&doc), text_(text), pos_(pos) {}
+
+  Kind kind_at(std::size_t pos) const { return Node(*doc_, text_, pos).kind(); }
   std::size_t skip_ws(std::size_t pos) const {
     while (text_[pos] == ' ' || text_[pos] == '\t' || text_[pos] == '\n' ||
            text_[pos] == '\r') {
@@ -211,6 +247,7 @@ class Node {
   std::size_t string_end(std::size_t pos) const;
   std::size_t value_after_colon(std::size_t pos) const;
 
+  const Document* doc_;
   std::string_view text_;
   std::size_t pos_;
 };

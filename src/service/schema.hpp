@@ -4,12 +4,12 @@
 // (solver/checkpoint.hpp) — including the records those documents share
 // (Series, Objectives, SearchStats, id and value arrays).
 //
-// Decoding is two steps over the text, never a tree: json::validate checks
-// the whole document (so a syntax error always wins over a schema error),
-// then an ObjectReader per object indexes that object's members once and
-// reads each asked-for member in place — arrays straight into their output
-// vectors, numbers with the digit fast path of json.hpp. Members may come in
-// any order; of repeated keys the last one counts.
+// Decoding is two steps over the text, never a tree: json::Document::parse
+// checks the whole document (so a syntax error always wins over a schema
+// error), then an ObjectReader per object indexes that object's members
+// once and reads each asked-for member in place — arrays straight into
+// their output vectors, numbers with the digit fast path of json.hpp.
+// Members may come in any order; of repeated keys the last one counts.
 //
 // One rule set for every document:
 //  - unknown keys are rejected (finish());

@@ -223,14 +223,15 @@ std::string encode_checkpoint(const Checkpoint& ck) {
 std::string decode_checkpoint(const std::string& text, Checkpoint* out) {
   PTS_CHECK(out != nullptr);
   std::string parse_error;
-  if (!json::validate(text, &parse_error)) {
+  json::Document doc;
+  if (!doc.parse(text, &parse_error)) {
     return "checkpoint: invalid JSON: " + parse_error;
   }
 
   // Every key is required: a checkpoint is only resumable whole.
   std::string err;
   Checkpoint ck;
-  ObjectReader reader(json::Node::root(text), "checkpoint", err,
+  ObjectReader reader(doc.root(), "checkpoint", err,
                       ObjectReader::Keys::Required);
   std::uint64_t version = 0;
   reader.read_uint("version", version);

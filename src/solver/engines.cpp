@@ -14,31 +14,19 @@
 #include "solver/solver.hpp"
 #include "support/stopwatch.hpp"
 #include "tabu/search.hpp"
-#include "timing/paths.hpp"
 
 namespace pts::solver {
 
 namespace detail {
 
-// The layout is heap-allocated because the placement inside the evaluator
-// points at it. When warm-starting, the random placement is still built and
-// the goals are still calibrated against it — identical RNG consumption and
-// identical cost scale to the cold run — and the warm slots are assigned
-// only afterwards, which is what keeps the cold path bit-identical and the
+// When warm-starting, the random placement is still built and the goals
+// are still calibrated against it — identical RNG consumption and identical
+// cost scale to the cold run — and the warm slots are assigned only
+// afterwards, which is what keeps the cold path bit-identical and the
 // warm/cold costs comparable.
 SequentialSetup make_sequential_setup(const SolveSpec& spec) {
-  const netlist::Netlist& nl = *spec.netlist;
-  SequentialSetup setup;
-  setup.layout = std::make_unique<placement::Layout>(nl);
-  Rng init_rng(spec.seed ^ kInitStreamSalt);
-  auto initial = baselines::random_placement(nl, *setup.layout, init_rng);
-  auto paths = timing::extract_critical_paths(nl, spec.cost.num_paths,
-                                              spec.cost.delay_model);
-  const auto goals =
-      cost::Evaluator::calibrate_goals(initial, *paths, spec.cost);
-  setup.eval = std::make_unique<cost::Evaluator>(std::move(initial),
-                                                 std::move(paths), spec.cost,
-                                                 goals);
+  SequentialSetup setup = cost::make_evaluator_setup(
+      *spec.netlist, spec.cost, spec.seed ^ kInitStreamSalt);
   if (!spec.initial_slots.empty()) {
     setup.eval->reset_placement(spec.initial_slots);
   }

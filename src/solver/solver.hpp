@@ -52,6 +52,7 @@
 #include "baselines/annealing.hpp"
 #include "baselines/local_search.hpp"
 #include "cost/evaluator.hpp"
+#include "cost/setup.hpp"
 #include "netlist/netlist.hpp"
 #include "parallel/config.hpp"
 #include "support/run_control.hpp"
@@ -195,15 +196,12 @@ namespace detail {
 /// Implemented in engines.cpp; called once by the registry bootstrap.
 std::vector<std::unique_ptr<Engine>> make_builtin_engines();
 
-/// Shared setup for the sequential engines: layout, the seed-derived
-/// initial placement (random, or spec.initial_slots when warm-starting),
-/// goals calibrated against the same-seed random placement, and an
-/// evaluator carrying it all. Exposed for the checkpoint runner
+/// Shared setup for the sequential engines: cost::make_evaluator_setup on
+/// the init stream (spec.seed ^ kInitStreamSalt), then spec.initial_slots
+/// assigned when warm-starting — goals stay calibrated against the
+/// same-seed random placement. Exposed for the checkpoint runner
 /// (solver/checkpoint.hpp), which must replicate the engine recipe exactly.
-struct SequentialSetup {
-  std::unique_ptr<placement::Layout> layout;
-  std::unique_ptr<cost::Evaluator> eval;
-};
+using SequentialSetup = cost::EvaluatorSetup;
 
 SequentialSetup make_sequential_setup(const SolveSpec& spec);
 

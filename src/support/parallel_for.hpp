@@ -6,8 +6,8 @@
 // a generation counter under one mutex, instead of paying a thread spawn
 // per region. The caller participates as worker 0, so a pool of N threads
 // spawns only N-1 std::threads (and a 1-thread pool spawns none — the
-// region runs inline, which is what makes the 1-thread engine bit-identical
-// to, and as cheap as, the sequential path).
+// region runs inline; parallel::SharedEngine starts no pool at all when it
+// runs on one thread).
 //
 // A region's job is held by reference — a function pointer plus the
 // caller's callable, never a std::function — so dispatching a region

@@ -135,9 +135,10 @@ TEST(Json, WriteValidateReadRoundTrip) {
   EXPECT_EQ(text,
             R"({"a":1,"b":[true,false,null],"c":{"nested":"va\"l\\ue"},"d":-2.5})");
   std::string error;
-  ASSERT_TRUE(json::validate(text, &error)) << error;
+  json::Document doc;
+  ASSERT_TRUE(doc.parse(text, &error)) << error;
 
-  const json::Node root = json::Node::root(text);
+  const json::Node root = doc.root();
   ASSERT_EQ(root.kind(), json::Kind::Object);
   std::vector<std::string> keys;
   root.for_each_member([&](std::string_view key, const json::Node& value) {
@@ -168,14 +169,69 @@ TEST(Json, WriteValidateReadRoundTrip) {
   EXPECT_EQ(root.end(), text.size());
 }
 
+TEST(Json, LongContainersEndWhereTheTextSays) {
+  // Containers of at least Document::kRecordedSpan bytes end from the table
+  // the validating pass fills, shorter ones by scanning; both must land
+  // where the text says. Nested long containers close inner-first, so this
+  // also covers the table's ordering.
+  std::string text;
+  json::Writer out(text);
+  out.begin_object();
+  out.key("outer").begin_object();
+  out.key("long").begin_array();
+  for (int i = 0; i < 400; ++i) out.number(1000 + i);
+  out.end_array();
+  out.key("short").begin_array();
+  out.number(1);
+  out.end_array();
+  out.end_object();
+  out.key("tail").begin_array();
+  out.string(std::string(json::Document::kRecordedSpan, 'x'));
+  out.end_array();
+  out.end_object();
+  ASSERT_GT(text.find("\"short\""), json::Document::kRecordedSpan);
+
+  std::string error;
+  json::Document doc;
+  ASSERT_TRUE(doc.parse(text, &error)) << error;
+  const json::Node root = doc.root();
+  EXPECT_EQ(root.end(), text.size());
+  std::vector<std::string> keys;
+  root.for_each_member([&](std::string_view key, const json::Node& value) {
+    keys.emplace_back(key);
+    if (key == "outer") {
+      EXPECT_EQ(text.substr(value.end(), 8), ",\"tail\":");
+      value.for_each_member([&](std::string_view inner, const json::Node& v) {
+        keys.emplace_back(inner);
+        if (inner == "long") {
+          EXPECT_EQ(text.substr(v.end(), 9), ",\"short\":");
+          std::size_t n = 0;
+          EXPECT_TRUE(v.for_each_number([&](double x) {
+            return x == static_cast<double>(1000 + n++);
+          }));
+          EXPECT_EQ(n, 400u);
+        }
+        if (inner == "short") {
+          EXPECT_EQ(text.substr(v.end(), 2), "},");
+        }
+      });
+    }
+    if (key == "tail") {
+      EXPECT_EQ(value.end() + 1, text.size());
+    }
+  });
+  EXPECT_EQ(keys, (std::vector<std::string>{"outer", "long", "short", "tail"}));
+}
+
 TEST(Json, UnicodeEscapes) {
   const std::string text = R"("aAé€😀")";
   std::string error;
-  ASSERT_TRUE(json::validate(text, &error)) << error;
-  EXPECT_EQ(json::Node::root(text).as_string(),
+  json::Document doc;
+  ASSERT_TRUE(doc.parse(text, &error)) << error;
+  EXPECT_EQ(doc.root().as_string(),
             "aA\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
   // Lone surrogate is malformed.
-  EXPECT_FALSE(json::validate(R"("\ud83d")", &error));
+  EXPECT_FALSE(doc.parse(R"("\ud83d")", &error));
   EXPECT_EQ(error, "lone surrogate (at byte 7)");
 }
 
@@ -185,8 +241,9 @@ TEST(Json, DoublesRoundTripBitExact) {
     std::string text;
     json::Writer(text).number(v);
     std::string error;
-    ASSERT_TRUE(json::validate(text, &error)) << error;
-    const double r = json::Node::root(text).as_number();
+    json::Document doc;
+    ASSERT_TRUE(doc.parse(text, &error)) << error;
+    const double r = doc.root().as_number();
     EXPECT_EQ(std::memcmp(&r, &v, sizeof(double)), 0)
         << "double " << v << " did not round-trip bit-exactly";
   }
@@ -201,17 +258,20 @@ TEST(Json, DoublesRoundTripBitExact) {
 
 TEST(Json, MalformedInputsAreErrorsNotAborts) {
   std::string error;
-  EXPECT_FALSE(json::validate("", &error));
-  EXPECT_FALSE(json::validate("{", &error));
-  EXPECT_FALSE(json::validate("[1,]", &error));
-  EXPECT_FALSE(json::validate("{\"a\":1} junk", &error));
-  EXPECT_FALSE(json::validate("nul", &error));
-  EXPECT_FALSE(json::validate("\"unterminated", &error));
+  json::Document doc;
+  EXPECT_FALSE(doc.parse("", &error));
+  EXPECT_FALSE(doc.parse("{", &error));
+  EXPECT_FALSE(doc.parse("[1,]", &error));
+  EXPECT_FALSE(doc.parse("{\"a\":1} junk", &error));
+  EXPECT_FALSE(doc.parse("nul", &error));
+  EXPECT_FALSE(doc.parse("\"unterminated", &error));
   // Depth cap: 65 nested arrays exceed the 64-level limit...
-  EXPECT_FALSE(json::validate(std::string(65, '[') + std::string(65, ']'), &error));
+  const std::string too_deep = std::string(65, '[') + std::string(65, ']');
+  EXPECT_FALSE(doc.parse(too_deep, &error));
   EXPECT_NE(error.find("deep"), std::string::npos);
   // ...while 64 parse fine.
-  EXPECT_TRUE(json::validate(std::string(64, '[') + std::string(64, ']'), &error));
+  const std::string deep = std::string(64, '[') + std::string(64, ']');
+  EXPECT_TRUE(doc.parse(deep, &error));
 }
 
 // -- codec -------------------------------------------------------------------

@@ -12,10 +12,17 @@
 //  4. Oversubscribed worker counts (workers > movable cells) solve instead
 //     of aborting — on this engine and on the two TSW/CLW engines whose
 //     partition_cells ranges used to come out empty.
+//  5. A level goes to the pool only when each thread gets two full probe
+//     batches, so narrow levels run the sequential loop on one thread. The
+//     multi-thread pins above therefore run at a compound width that keeps
+//     their thread count, and assert it, so they still start pools.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "cost/evaluator.hpp"
 #include "experiments/workloads.hpp"
 #include "parallel/shared_engine.hpp"
 #include "solver/solver.hpp"
@@ -32,6 +39,34 @@ SolveSpec shared_spec(const netlist::Netlist& nl, std::size_t threads,
   spec.tabu.iterations = iterations;
   spec.shared.threads = threads;
   return spec;
+}
+
+/// A compound width that keeps up to four threads (64 trials /
+/// cost::kMinTrialsPerThread). At the default width 8 the engine runs every
+/// paper circuit on one thread and never starts a pool.
+constexpr std::size_t kPoolWidth = 64;
+
+SolveSpec pool_spec(const netlist::Netlist& nl, std::size_t threads,
+                    std::uint64_t seed = 7, std::size_t iterations = 60) {
+  SolveSpec spec = shared_spec(nl, threads, seed, iterations);
+  spec.tabu.compound.width = kPoolWidth;
+  return spec;
+}
+
+parallel::SharedConfig shared_config(const SolveSpec& spec) {
+  parallel::SharedConfig config;
+  config.params = spec.shared;
+  config.tabu = spec.tabu;
+  config.cost = spec.cost;
+  config.init_seed = spec.seed ^ kInitStreamSalt;
+  config.search_seed = spec.seed ^ kSearchStreamSalt;
+  return config;
+}
+
+/// The threads the engine runs `spec` on.
+std::size_t effective_threads(const SolveSpec& spec) {
+  return parallel::SharedEngine(*spec.netlist, shared_config(spec))
+      .effective_threads();
 }
 
 void expect_same_y(const Series& a, const Series& b) {
@@ -80,8 +115,10 @@ TEST(SharedEngine, FixedThreadCountIsDeterministic) {
   const auto& nl = experiments::circuit("c532");
   for (std::size_t threads : {2u, 4u}) {
     SCOPED_TRACE(threads);
-    const auto a = Solver().solve(shared_spec(nl, threads));
-    const auto b = Solver().solve(shared_spec(nl, threads));
+    const SolveSpec spec = pool_spec(nl, threads);
+    ASSERT_EQ(effective_threads(spec), threads);
+    const auto a = Solver().solve(spec);
+    const auto b = Solver().solve(spec);
     expect_identical_outcome(a, b);
   }
 }
@@ -91,10 +128,12 @@ TEST(SharedEngine, TrajectoryIndependentOfThreadCount) {
   // coordinator, probes are state-independent, and the reduction order is
   // fixed, so 2- and 4-thread runs retrace the 1-thread run exactly.
   const auto& nl = experiments::circuit("c532");
-  const auto one = Solver().solve(shared_spec(nl, 1));
+  const auto one = Solver().solve(pool_spec(nl, 1));
   for (std::size_t threads : {2u, 4u}) {
     SCOPED_TRACE(threads);
-    const auto many = Solver().solve(shared_spec(nl, threads));
+    const SolveSpec spec = pool_spec(nl, threads);
+    ASSERT_EQ(effective_threads(spec), threads);
+    const auto many = Solver().solve(spec);
     expect_identical_outcome(one, many);
   }
 }
@@ -103,7 +142,8 @@ TEST(SharedEngine, TrajectoryIndependentOfThreadCount) {
 
 TEST(SharedEngine, IterationBudgetTruncatesBitIdentically) {
   const auto& nl = experiments::circuit("highway");
-  auto spec = shared_spec(nl, 2, /*seed=*/31, /*iterations=*/80);
+  auto spec = pool_spec(nl, 2, /*seed=*/31, /*iterations=*/80);
+  ASSERT_EQ(effective_threads(spec), 2u);
   const auto full = Solver().solve(spec);
   ASSERT_EQ(full.stop_reason, StopReason::Completed);
 
@@ -122,7 +162,8 @@ TEST(SharedEngine, PreCancelledTokenStopsBeforeFirstIteration) {
   const auto& nl = experiments::circuit("highway");
   CancelToken token;
   token.cancel();
-  auto spec = shared_spec(nl, 4);
+  auto spec = pool_spec(nl, 4);
+  ASSERT_EQ(effective_threads(spec), 4u);
   spec.stop.cancel = &token;
   const auto result = Solver().solve(spec);
   EXPECT_EQ(result.stop_reason, StopReason::Cancelled);
@@ -149,9 +190,11 @@ class CountingObserver : public Observer {
 
 TEST(SharedEngine, ObserverSeesEveryIterationWithoutPerturbing) {
   const auto& nl = experiments::circuit("highway");
-  const auto plain = Solver().solve(shared_spec(nl, 2));
+  const SolveSpec spec = pool_spec(nl, 2);
+  ASSERT_EQ(effective_threads(spec), 2u);
+  const auto plain = Solver().solve(spec);
 
-  auto observed_spec = shared_spec(nl, 2);
+  auto observed_spec = spec;
   CountingObserver observer;
   observed_spec.observer = &observer;
   observed_spec.stop.max_iterations = 1000000;  // engaged, never fires
@@ -166,19 +209,55 @@ TEST(SharedEngine, ObserverSeesEveryIterationWithoutPerturbing) {
 // -- oversubscription regression (workers > movable cells) ------------------
 
 TEST(SharedEngine, OversubscribedThreadsClampAndSolve) {
-  // highway has 56 movable cells; 64 threads must clamp, not abort.
+  // highway has 56 movable cells; 64 threads must clamp, not abort. The
+  // width gives 64 threads two probe batches each, so the movable-cell
+  // clamp is the one that binds.
   const auto& nl = experiments::circuit("highway");
-  const auto result = Solver().solve(shared_spec(nl, 64, /*seed=*/3,
-                                                 /*iterations=*/8));
+  auto spec = shared_spec(nl, 64, /*seed=*/3, /*iterations=*/8);
+  spec.tabu.compound.width = 64 * cost::kMinTrialsPerThread;
+  ASSERT_EQ(effective_threads(spec), nl.num_movable());
+  const auto result = Solver().solve(spec);
   EXPECT_LE(result.best_cost, result.initial_cost);
   EXPECT_EQ(result.iterations, 8u);
   EXPECT_EQ(result.best_slots.size(), nl.num_movable());
 
   // And the clamped run is still the same search (thread-count invariance).
-  const auto one = Solver().solve(shared_spec(nl, 1, /*seed=*/3,
-                                              /*iterations=*/8));
+  spec.shared.threads = 1;
+  const auto one = Solver().solve(spec);
   EXPECT_EQ(result.best_cost, one.best_cost);
   EXPECT_EQ(result.best_slots, one.best_slots);
+}
+
+// -- the width clamp: two probe batches per thread --------------------------
+
+TEST(SharedEngine, NarrowLevelsRunTheSequentialLoopOnOneThread) {
+  // c532 at the default width 8: one probe batch per level, fewer trials
+  // than a single thread must get, so four requested threads run one —
+  // the sequential loop itself, bit-identical to "tabu".
+  const auto& nl = experiments::circuit("c532");
+  const SolveSpec spec = shared_spec(nl, 4);
+  EXPECT_EQ(effective_threads(spec), 1u);
+  EXPECT_EQ(parallel::SharedEngine(nl, shared_config(spec))
+                .run(RunControl{spec.stop, nullptr})
+                .threads_used,
+            1u);
+  SolveSpec tabu_spec = spec;
+  tabu_spec.engine = "tabu";
+  expect_identical_outcome(Solver().solve(tabu_spec), Solver().solve(spec));
+
+  // Threads used for 1..4 requested: at most width / 16, at least 1.
+  const std::pair<std::size_t, std::vector<std::size_t>> table[] = {
+      {15, {1, 1, 1, 1}}, {16, {1, 1, 1, 1}}, {31, {1, 1, 1, 1}},
+      {32, {1, 2, 2, 2}}, {48, {1, 2, 3, 3}},
+  };
+  for (const auto& [width, expected] : table) {
+    for (std::size_t threads = 1; threads <= 4; ++threads) {
+      SolveSpec narrow = shared_spec(nl, threads);
+      narrow.tabu.compound.width = width;
+      EXPECT_EQ(effective_threads(narrow), expected[threads - 1])
+          << "width " << width << ", " << threads << " threads requested";
+    }
+  }
 }
 
 TEST(SharedEngine, OversubscribedSimEngineSolves) {
