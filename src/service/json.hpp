@@ -134,6 +134,11 @@ class Document {
     std::size_t end = 0;
   };
 
+  Document() = default;
+  // Every Node read from a document points at it.
+  Document(const Document&) = delete;
+  Document& operator=(const Document&) = delete;
+
   /// Checks that `text` is exactly one JSON document of the language above
   /// (trailing garbage is an error). On failure returns false and, when
   /// `error` is non-null, sets it to "<why> (at byte N)". `text` must
