@@ -23,8 +23,9 @@ struct EvaluatorSetup {
 
 /// Layout, a random placement drawn from `init_seed`, the K critical paths
 /// `params` asks for, goals calibrated against that placement, and an
-/// evaluator carrying it all. Everything but the placement is a pure
-/// function of (netlist, params).
+/// evaluator carrying it all. The layout and the paths are pure functions
+/// of (netlist, params); the placement and the goals also depend on
+/// `init_seed`.
 EvaluatorSetup make_evaluator_setup(const netlist::Netlist& nl,
                                     const CostParams& params,
                                     std::uint64_t init_seed);
