@@ -51,8 +51,9 @@ BATCH_WIDTHS = {"BM_ProbeBatch4": 4, "BM_ProbeBatch8": 8,
                 "BM_ProbeBatch16": 16, "BM_ProbeBatch32": 32}
 
 MACRO_KEYS = ("circuit", "gates", "nets", "pins", "logic_depth", "build_ms",
-              "setup_ms", "probe_ns", "batch_probe_ns", "batch_speedup",
-              "probe_profile", "engines", "shared_scaling", "eco")
+              "setup_ms", "paths_ms", "probe_ns", "batch_probe_ns",
+              "batch_speedup", "probe_profile", "engines", "shared_scaling",
+              "eco")
 PROFILE_KEYS = ("pairs", "equal", "unequal", "moved_cells", "nets", "pins",
                 "o1_share", "rescan_share", "overlay_ns", "marking_ns",
                 "box_ns", "delay_ns", "owa_ns", "equal_probe_ns",
@@ -214,6 +215,9 @@ def run_macro(binary):
             fail(f"MACRO entry {entry['circuit']} eco negative trials_ratio")
         if not entry["build_ms"] > 0:
             fail(f"MACRO entry {entry['circuit']} non-positive build_ms")
+        if not 0 < entry["paths_ms"] <= entry["setup_ms"]:
+            fail(f"MACRO entry {entry['circuit']} paths_ms "
+                 f"{entry['paths_ms']} outside (0, setup_ms]")
         if not entry["batch_probe_ns"] > 0:
             fail(f"MACRO entry {entry['circuit']} non-positive batch_probe_ns")
         if not entry["batch_speedup"] > 0:
@@ -270,6 +274,8 @@ def main():
             phases = " | ".join(f"{k[:-3]} {profile[k]:.0f}"
                                 for k in PROFILE_PHASES)
             print(f"  {circuit}: build {entry['build_ms']:.0f} ms, "
+                  f"setup {entry['setup_ms']:.1f} ms "
+                  f"(paths {entry['paths_ms']:.1f} ms), "
                   f"probe {entry['probe_ns']:.0f} ns/op, "
                   f"shared scaling {speedups}, "
                   f"eco warm/cold trials {eco['trials_ratio']:.3f}")

@@ -4,6 +4,8 @@
 //
 //   build      netlist generation + finalize (CSR topology) wall time
 //   setup      layout + random placement + K-paths + evaluator construction
+//   paths      the K-paths extraction alone (uniform-delay STA + walk-back),
+//              part of setup
 //   probe      steady-state trial-probe throughput (the search inner loop)
 //   engines    a short tabu / anneal / parallel-sim / parallel-shared run
 //              through the solver front door: wall time, makespan (virtual
@@ -366,8 +368,10 @@ int main(int argc, char** argv) {
     cost::CostParams params;
     Rng rng(1);
     auto placement = placement::Placement::random(nl, layout, rng);
+    const Stopwatch paths_watch;
     auto paths =
         timing::extract_critical_paths(nl, params.num_paths, params.delay_model);
+    const double paths_ms = paths_watch.millis();
     const cost::FuzzyGoals goals =
         cost::Evaluator::calibrate_goals(placement, *paths, params);
     cost::Evaluator eval(std::move(placement), paths, params, goals);
@@ -461,11 +465,11 @@ int main(int argc, char** argv) {
     std::printf(
         "MACRO {\"circuit\":\"%s\",\"gates\":%zu,\"nets\":%zu,\"pins\":%zu,"
         "\"logic_depth\":%zu,\"build_ms\":%.3f,\"setup_ms\":%.3f,"
-        "\"probe_ns\":%.3f,\"batch_probe_ns\":%.3f,\"batch_speedup\":%.3f,"
-        "\"engines\":{",
+        "\"paths_ms\":%.3f,\"probe_ns\":%.3f,\"batch_probe_ns\":%.3f,"
+        "\"batch_speedup\":%.3f,\"engines\":{",
         name.c_str(), nl.num_movable(), nl.num_nets(), nl.num_pins(),
-        nl.logic_depth(), build_ms, setup_ms, probe_ns, batch_probe_ns,
-        batch_speedup);
+        nl.logic_depth(), build_ms, setup_ms, paths_ms, probe_ns,
+        batch_probe_ns, batch_speedup);
     for (std::size_t i = 0; i < engines.size(); ++i) {
       const EngineReport& e = engines[i];
       std::printf(

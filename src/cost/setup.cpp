@@ -15,11 +15,12 @@ EvaluatorSetup make_evaluator_setup(const netlist::Netlist& nl,
   setup.layout = std::make_unique<placement::Layout>(nl);
   Rng init_rng(init_seed);
   auto initial = placement::Placement::random(nl, *setup.layout, init_rng);
-  auto paths =
+  setup.paths =
       timing::extract_critical_paths(nl, params.num_paths, params.delay_model);
-  const FuzzyGoals goals = Evaluator::calibrate_goals(initial, *paths, params);
-  setup.eval = std::make_unique<Evaluator>(std::move(initial), std::move(paths),
-                                           params, goals);
+  const FuzzyGoals goals =
+      Evaluator::calibrate_goals(initial, *setup.paths, params);
+  setup.eval =
+      std::make_unique<Evaluator>(std::move(initial), setup.paths, params, goals);
   return setup;
 }
 

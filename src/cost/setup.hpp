@@ -1,8 +1,9 @@
-// The start of every run of the sequential search: the setup recipe the
-// "tabu", "anneal", "local" and "constructive" engines (through
-// solver::detail::make_sequential_setup) and the "parallel-shared" engine
-// share. One recipe keeps a 1-thread parallel-shared run bit-identical to
-// "tabu" by construction rather than by two copies kept in step.
+// The start of every run: the setup recipe the "tabu", "anneal", "local"
+// and "constructive" engines (through solver::detail::make_sequential_setup),
+// the "parallel-shared" engine and the parallel-sim / parallel-threaded
+// engines (through parallel::SearchSetup) share. One recipe keeps a 1-thread
+// parallel-shared run bit-identical to "tabu" by construction rather than by
+// two copies kept in step.
 #pragma once
 
 #include <cstdint>
@@ -14,10 +15,11 @@
 
 namespace pts::cost {
 
-/// An evaluator and the layout its placement points at (heap-allocated so
-/// the pair can move).
+/// An evaluator, the layout its placement points at (heap-allocated so the
+/// pair can move) and the monitored paths it shares.
 struct EvaluatorSetup {
   std::unique_ptr<placement::Layout> layout;
+  std::shared_ptr<const timing::PathSet> paths;
   std::unique_ptr<Evaluator> eval;
 };
 

@@ -1,16 +1,57 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <bit>
+#include <functional>
 
 namespace pts::netlist {
 
-std::size_t Netlist::num_pins() const {
-  std::size_t total = 0;
-  for (const auto& n : nets_) total += n.pin_count();
-  return total;
+namespace {
+
+/// Aborts on the first name that repeats an earlier one, checking cells and
+/// then nets in id order. The table is open-addressed with linear probing;
+/// each 8-byte slot holds the top 32 bits of the name's hash and its index
+/// (cells first, then nets), so no name is copied, and its capacity is a
+/// power of two at least twice the name count.
+void check_unique_names(const std::vector<Cell>& cells,
+                        const std::vector<Net>& nets) {
+  struct Slot {
+    std::uint32_t tag;
+    std::uint32_t index;
+  };
+  constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  const std::size_t count = cells.size() + nets.size();
+  PTS_CHECK(count < kEmpty);
+  std::vector<Slot> table(std::bit_ceil(2 * count), Slot{0, kEmpty});
+  const std::size_t mask = table.size() - 1;
+  const auto name_of = [&](std::uint32_t index) -> std::string_view {
+    return index < cells.size() ? cells[index].name
+                                : nets[index - cells.size()].name;
+  };
+  const auto insert = [&](std::string_view name, std::uint32_t index) {
+    const std::uint64_t hash = std::hash<std::string_view>{}(name);
+    const auto tag = static_cast<std::uint32_t>(hash >> 32);
+    for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
+      Slot& slot = table[s];
+      if (slot.index == kEmpty) {
+        slot = {tag, index};
+        return true;
+      }
+      if (slot.tag == tag && name_of(slot.index) == name) return false;
+    }
+  };
+  std::uint32_t index = 0;
+  for (const auto& c : cells) {
+    PTS_CHECK_MSG(insert(c.name, index++), "duplicate cell name");
+  }
+  for (const auto& n : nets) {
+    PTS_CHECK_MSG(insert(n.name, index++), "duplicate net name");
+  }
 }
+
+}  // namespace
+
+std::size_t Netlist::num_pins() const { return topology_.num_pins(); }
 
 std::optional<CellId> Netlist::find_cell(std::string_view name) const {
   for (CellId id = 0; id < cells_.size(); ++id) {
@@ -25,14 +66,7 @@ void Netlist::finalize() {
   pads_.clear();
   total_movable_width_ = 0;
 
-  std::unordered_set<std::string> names;
-  names.reserve(n_cells + nets_.size());
-  for (const auto& c : cells_) {
-    PTS_CHECK_MSG(names.insert(c.name).second, "duplicate cell name");
-  }
-  for (const auto& n : nets_) {
-    PTS_CHECK_MSG(names.insert(n.name).second, "duplicate net name");
-  }
+  check_unique_names(cells_, nets_);
 
   for (CellId id = 0; id < n_cells; ++id) {
     const Cell& c = cells_[id];
@@ -65,14 +99,21 @@ void Netlist::finalize() {
     PTS_CHECK_MSG(n.weight > 0.0, "net weight must be positive");
   }
 
-  // Kahn topological sort over the cell graph (edge: net driver -> sink).
-  std::vector<std::size_t> indegree(n_cells, 0);
-  for (CellId id = 0; id < n_cells; ++id) {
-    indegree[id] = cells_[id].in_nets.size();
+  // Flatten the validated pin graph into the CSR view (incident-net index
+  // included — a cell may legitimately take the same net on two pins, so
+  // the index is deduplicated there).
+  topology_.build(*this);
+
+  // Kahn topological sort over the CSR (edge: net driver -> sink). In-degrees
+  // count sink pins, so a gate sinking one net on two pins waits for both
+  // decrements; the frontier is LIFO.
+  std::vector<std::uint32_t> indegree(n_cells, 0);
+  for (NetId nid = 0; nid < nets_.size(); ++nid) {
+    for (CellId sink : topology_.sinks(nid)) ++indegree[sink];
   }
   topo_.clear();
   topo_.reserve(n_cells);
-  std::vector<std::size_t> depth(n_cells, 0);
+  std::vector<std::uint32_t> depth(n_cells, 0);
   std::vector<CellId> frontier;
   for (CellId id = 0; id < n_cells; ++id) {
     if (indegree[id] == 0) frontier.push_back(id);
@@ -81,8 +122,9 @@ void Netlist::finalize() {
     const CellId id = frontier.back();
     frontier.pop_back();
     topo_.push_back(id);
-    if (cells_[id].out_net == kNoNet) continue;
-    for (CellId sink : nets_[cells_[id].out_net].sinks) {
+    const NetId out = topology_.out_net(id);
+    if (out == kNoNet) continue;
+    for (CellId sink : topology_.sinks(out)) {
       depth[sink] = std::max(depth[sink], depth[id] + 1);
       PTS_CHECK(indegree[sink] > 0);
       if (--indegree[sink] == 0) frontier.push_back(sink);
@@ -90,11 +132,6 @@ void Netlist::finalize() {
   }
   PTS_CHECK_MSG(topo_.size() == n_cells, "netlist contains a combinational cycle");
   logic_depth_ = depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
-
-  // Flatten the validated pin graph into the CSR view (incident-net index
-  // included — a cell may legitimately take the same net on two pins, so
-  // the index is deduplicated there).
-  topology_.build(*this);
 }
 
 NetlistBuilder::NetlistBuilder(std::string name) { netlist_.name_ = std::move(name); }

@@ -33,6 +33,7 @@ void Topology::build(const Netlist& netlist) {
   cell_net_offsets_.assign(n_cells + 1, 0);
   cell_nets_.clear();
   cell_nets_.reserve(n_cells + net_pins_.size());
+  cell_out_net_.resize(n_cells);
   cell_width_.resize(n_cells);
   cell_intrinsic_delay_.resize(n_cells);
   cell_load_factor_.resize(n_cells);
@@ -50,6 +51,7 @@ void Topology::build(const Netlist& netlist) {
       }
     }
     cell_net_offsets_[id + 1] = static_cast<std::uint32_t>(cell_nets_.size());
+    cell_out_net_[id] = c.out_net;
     cell_width_[id] = static_cast<double>(c.width);
     cell_intrinsic_delay_[id] = c.intrinsic_delay;
     cell_load_factor_[id] = c.load_factor;

@@ -14,7 +14,9 @@
 //   cell_net_offsets / cell_nets
 //                             cell -> incident nets, out_net first, then
 //                             input nets deduplicated in first-seen order
-//                             (identical to the old Netlist::nets_of)
+//                             (identical to the old Netlist::nets_of); the
+//                             slice after the out net is in_nets(cell)
+//   cell_out_net              per-cell driven net (SoA copy of Cell::out_net)
 //   net_weight                per-net weight (SoA copy of Net::weight)
 //   net_repeats_cell          per-net flag: some cell is listed twice
 //                             (a gate sinking the net on two inputs)
@@ -22,9 +24,11 @@
 //                             SoA copies of the Cell fields hot loops read
 //
 // The view is built once by Netlist::finalize() and is immutable afterwards;
-// all workers of a parallel search share it read-only. The legacy accessors
-// (Netlist::nets_of, Net::sinks, ...) remain valid — nets_of() is a thin
-// forward over this storage — so existing code keeps compiling.
+// all workers of a parallel search share it read-only. finalize() sorts the
+// cells over it, and STA, critical-path extraction and DelayModel read it
+// too. The legacy accessors (Netlist::nets_of, Net::sinks, ...) remain
+// valid — nets_of() is a thin forward over this storage — so existing code
+// keeps compiling.
 #pragma once
 
 #include <cstdint>
@@ -69,6 +73,18 @@ class Topology {
             cell_nets_.data() + cell_net_offsets_[cell + 1]};
   }
 
+  /// Net driven by `cell`; kNoNet for primary outputs.
+  NetId out_net(CellId cell) const {
+    PTS_DCHECK(cell < cell_out_net_.size());
+    return cell_out_net_[cell];
+  }
+  /// Nets feeding `cell`'s input pins, deduplicated in first-seen order: a
+  /// net sunk on two pins is listed once, which cannot change a max over
+  /// the inputs or its first argmax.
+  std::span<const NetId> in_nets(CellId cell) const {
+    return nets_of(cell).subspan(out_net(cell) == kNoNet ? 0 : 1);
+  }
+
   double net_weight(NetId net) const {
     PTS_DCHECK(net < net_weight_.size());
     return net_weight_[net];
@@ -104,6 +120,7 @@ class Topology {
   std::vector<CellId> net_pins_;                 // driver-first pin lists
   std::vector<std::uint32_t> cell_net_offsets_;  // num_cells + 1
   std::vector<NetId> cell_nets_;                 // deduplicated incident nets
+  std::vector<NetId> cell_out_net_;
   std::vector<double> net_weight_;
   std::vector<std::uint8_t> net_repeats_cell_;
   std::vector<double> cell_width_;

@@ -1,5 +1,7 @@
 #include "parallel/config.hpp"
 
+#include "cost/setup.hpp"
+
 namespace pts::parallel {
 
 std::size_t clamp_workers(std::size_t requested, std::size_t cap) {
@@ -9,7 +11,7 @@ std::size_t clamp_workers(std::size_t requested, std::size_t cap) {
 }
 
 SearchSetup::SearchSetup(const netlist::Netlist& nl, const PtsConfig& cfg)
-    : netlist(&nl), config(cfg), layout(nl) {
+    : netlist(&nl), config(cfg) {
   PTS_CHECK(config.num_tsws >= 1);
   PTS_CHECK(config.clws_per_tsw >= 1);
   PTS_CHECK(config.local_iterations >= 1);
@@ -23,20 +25,18 @@ SearchSetup::SearchSetup(const netlist::Netlist& nl, const PtsConfig& cfg)
   config.num_tsws = clamp_workers(config.num_tsws, nl.num_movable());
   config.clws_per_tsw = clamp_workers(config.clws_per_tsw, nl.num_movable());
 
-  Rng rng(config.seed);
-  const auto initial = placement::Placement::random(nl, layout, rng);
-  initial_slots = initial.slots();
-  paths = timing::extract_critical_paths(nl, config.cost.num_paths,
-                                         config.cost.delay_model);
-  goals = cost::Evaluator::calibrate_goals(initial, *paths, config.cost);
-
-  cost::Evaluator eval(initial, paths, config.cost, goals);
-  initial_cost = eval.cost();
+  cost::EvaluatorSetup base =
+      cost::make_evaluator_setup(nl, config.cost, config.seed);
+  layout = std::move(base.layout);
+  initial_slots = base.eval->placement().slots();
+  paths = std::move(base.paths);
+  goals = base.eval->goals();
+  initial_cost = base.eval->cost();
 }
 
 std::unique_ptr<cost::Evaluator> SearchSetup::make_evaluator(
     const std::vector<netlist::CellId>& slots) const {
-  placement::Placement p(*netlist, layout);
+  placement::Placement p(*netlist, *layout);
   p.assign_slots(slots);
   return std::make_unique<cost::Evaluator>(std::move(p), paths, config.cost,
                                            goals);

@@ -135,7 +135,8 @@ struct PtsResult {
 std::size_t clamp_workers(std::size_t requested, std::size_t cap);
 
 /// Immutable per-run setup shared by all workers of one search: layout,
-/// initial solution, monitored paths, calibrated goals. The stored config
+/// initial solution, monitored paths, calibrated goals, all taken from
+/// cost::make_evaluator_setup seeded with `config.seed`. The stored config
 /// has num_tsws / clws_per_tsw clamped to the movable-cell count (and to
 /// >= 1): more workers than cells would give some of them empty
 /// partition_cells ranges, which sample_move refuses.
@@ -148,7 +149,7 @@ struct SearchSetup {
 
   const netlist::Netlist* netlist;
   PtsConfig config;
-  placement::Layout layout;
+  std::unique_ptr<const placement::Layout> layout;
   std::vector<netlist::CellId> initial_slots;
   std::shared_ptr<const timing::PathSet> paths;
   cost::FuzzyGoals goals;

@@ -15,14 +15,15 @@ struct DelayModel {
   /// Interconnect delay per unit of net half-perimeter (ns per grid unit).
   double wire_delay_per_unit = 0.05;
 
-  /// Placement-independent delay contributed by `cell` (0 for pads).
+  /// Placement-independent delay contributed by `cell` (0 for pads). Reads
+  /// the CSR topology, the one formula STA, path extraction and slack share.
   double cell_delay(const netlist::Netlist& netlist, netlist::CellId cell) const {
-    const auto& c = netlist.cell(cell);
-    if (!c.movable()) return 0.0;
-    const double fanout = c.out_net == netlist::kNoNet
-                              ? 0.0
-                              : static_cast<double>(netlist.net(c.out_net).sinks.size());
-    return c.intrinsic_delay + c.load_factor * fanout;
+    const netlist::Topology& topo = netlist.topology();
+    if (!topo.cell_movable(cell)) return 0.0;
+    const netlist::NetId out = topo.out_net(cell);
+    const double fanout =
+        out == netlist::kNoNet ? 0.0 : static_cast<double>(topo.sinks(out).size());
+    return topo.cell_intrinsic_delay(cell) + topo.cell_load_factor(cell) * fanout;
   }
 
   /// Placement-dependent delay of a net with half-perimeter `hpwl`.

@@ -103,21 +103,23 @@ std::shared_ptr<const PathSet> extract_critical_paths(
   });
   pos.resize(critical_path_count(netlist, k));
 
+  const netlist::Topology& topo = netlist.topology();
   std::vector<TimingPath> paths;
   paths.reserve(pos.size());
   for (const Candidate& candidate : pos) {
     TimingPath path;
     // Walk back from the PO choosing, at each cell, the input whose driver
     // has the maximal (arrival + wire) — i.e. the binding input under the
-    // uniform model used for extraction.
+    // uniform model used for extraction. The first maximum wins, so the
+    // deduplicated in-nets pick the same input a walk over every pin would.
     CellId walk = candidate.po;
     path.cells.push_back(walk);
-    while (!netlist.cell(walk).in_nets.empty()) {
+    while (!topo.in_nets(walk).empty()) {
       NetId best_net = netlist::kNoNet;
       CellId best_driver = netlist::kNoCell;
       double best_arrival = -1.0;
-      for (NetId net : netlist.cell(walk).in_nets) {
-        const CellId driver = netlist.net(net).driver;
+      for (NetId net : topo.in_nets(walk)) {
+        const CellId driver = topo.driver(net);
         if (sta.arrival[driver] > best_arrival) {
           best_arrival = sta.arrival[driver];
           best_net = net;

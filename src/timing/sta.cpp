@@ -1,35 +1,33 @@
 #include "timing/sta.hpp"
 
 #include <algorithm>
-#include <functional>
 
 namespace pts::timing {
 
 using netlist::CellId;
 using netlist::CellKind;
-using netlist::kNoNet;
 using netlist::NetId;
 
 namespace {
 
-StaResult run_sta_impl(const netlist::Netlist& netlist,
-                       const std::function<double(NetId)>& net_delay,
+template <class NetDelay>
+StaResult run_sta_impl(const netlist::Netlist& netlist, NetDelay net_delay,
                        const DelayModel& model) {
+  const netlist::Topology& topo = netlist.topology();
   StaResult result;
   result.arrival.assign(netlist.num_cells(), 0.0);
   // Predecessor on the max-arrival path, for path extraction.
   std::vector<CellId> pred(netlist.num_cells(), netlist::kNoCell);
 
   for (CellId cell : netlist.topological_order()) {
-    const auto& c = netlist.cell(cell);
     double max_in = 0.0;
     CellId best_pred = netlist::kNoCell;
-    for (NetId net : c.in_nets) {
-      const auto& n = netlist.net(net);
-      const double t = result.arrival[n.driver] + net_delay(net);
+    for (NetId net : topo.in_nets(cell)) {
+      const CellId driver = topo.driver(net);
+      const double t = result.arrival[driver] + net_delay(net);
       if (t > max_in || best_pred == netlist::kNoCell) {
         max_in = t;
-        best_pred = n.driver;
+        best_pred = driver;
       }
     }
     pred[cell] = best_pred;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "netlist/benchmarks.hpp"
 #include "netlist/generator.hpp"
@@ -118,6 +120,51 @@ TEST(NetlistDeath, RejectsDuplicateNames) {
   EXPECT_DEATH(std::move(b).build(), "duplicate");
 }
 
+TEST(NetlistDeath, RejectsNetNamedLikeACell) {
+  NetlistBuilder b("dup");
+  const CellId pi = b.add_primary_input("a");
+  const CellId po = b.add_primary_output("z");
+  const NetId n0 = b.add_net("z", pi);  // same name as the PO
+  b.connect_input(n0, po);
+  EXPECT_DEATH(std::move(b).build(), "duplicate net name");
+}
+
+TEST(NetlistDeath, RejectsTwoNetsSharingAName) {
+  NetlistBuilder b("dup");
+  const CellId pi = b.add_primary_input("a");
+  const CellId g = b.add_gate("g", 1, 1.0, 0.1);
+  const CellId po = b.add_primary_output("z");
+  const NetId n0 = b.add_net("n", pi);
+  b.connect_input(n0, g);
+  const NetId n1 = b.add_net("n", g);
+  b.connect_input(n1, po);
+  EXPECT_DEATH(std::move(b).build(), "duplicate net name");
+}
+
+/// `pairs` PI -> PO connections: ~3 * pairs distinct names, the last net
+/// optionally renamed to the first net's name (the last name checked).
+NetlistBuilder many_names(std::size_t pairs, bool last_net_repeats) {
+  NetlistBuilder b("many");
+  std::vector<CellId> pis, pos;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    pis.push_back(b.add_primary_input("pi" + std::to_string(i)));
+    pos.push_back(b.add_primary_output("po" + std::to_string(i)));
+  }
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const bool repeat = last_net_repeats && i + 1 == pairs;
+    const NetId n = b.add_net(repeat ? "n0" : "n" + std::to_string(i), pis[i]);
+    b.connect_input(n, pos[i]);
+  }
+  return b;
+}
+
+TEST(NetlistDeath, RejectsADuplicateThatIsTheLastOfManyNames) {
+  const Netlist ok = many_names(6700, /*last_net_repeats=*/false).build();
+  EXPECT_EQ(ok.num_cells() + ok.num_nets(), 20100u);
+  EXPECT_DEATH(many_names(6700, /*last_net_repeats=*/true).build(),
+               "duplicate net name");
+}
+
 TEST(NetlistDeath, RejectsSelfLoop) {
   NetlistBuilder b("self");
   const CellId pi = b.add_primary_input("a");
@@ -126,6 +173,44 @@ TEST(NetlistDeath, RejectsSelfLoop) {
   b.connect_input(n0, g);
   const NetId n1 = b.add_net("n1", g);
   EXPECT_DEATH(b.connect_input(n1, g), "self-loop");
+}
+
+/// FNV-1a 64 over the topological order (each id as 8 little-endian
+/// bytes) followed by the logic depth.
+std::uint64_t order_fnv(const Netlist& nl) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const CellId id : nl.topological_order()) mix(id);
+  mix(nl.logic_depth());
+  return h;
+}
+
+TEST(NetlistBuilder, TopologicalOrderAndDepthArePinned) {
+  // The sort's LIFO frontier order is part of the contract (STA, paths and
+  // slack iterate it), so any change of order must show here first.
+  const struct {
+    const char* circuit;
+    std::size_t depth;
+    std::uint64_t fnv;
+  } pins[] = {
+      {"highway", 14, 0xb0eb6edb26a7686bULL},
+      {"c532", 50, 0xba25c95acdcca7cfULL},
+      {"c1355", 165, 0xa74ebdefdc47f35cULL},
+      {"c3540", 247, 0x8d6a54a294cc44d2ULL},
+      {"scale10k", 316, 0x2465c4c519d21476ULL},
+  };
+  for (const auto& pin : pins) {
+    const Netlist nl = make_benchmark(pin.circuit);
+    EXPECT_EQ(nl.logic_depth(), pin.depth) << pin.circuit;
+    EXPECT_EQ(order_fnv(nl), pin.fnv)
+        << "{\"" << pin.circuit << "\", " << nl.logic_depth() << ", 0x"
+        << std::hex << order_fnv(nl) << std::dec << "ULL},";
+  }
 }
 
 // ---------------------------------------------------------------------------

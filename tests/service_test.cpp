@@ -806,6 +806,42 @@ TEST_F(DaemonTest, SchemaViolationsAnswerErrorsAndConnectionSurvives) {
   EXPECT_TRUE(client.wait(*session, nullptr, &error).has_value()) << error;
 }
 
+TEST_F(DaemonTest, OutOfRangeGoalParametersAreRejectedAndDaemonKeepsServing) {
+  // Each value round-trips the codec, and FuzzyGoals::calibrate would abort
+  // on it in a session thread, so the daemon must refuse it at submit.
+  auto client = connect();
+  std::string error;
+  ASSERT_TRUE(client.hello(&error).has_value()) << error;
+  JobRequest job;
+  job.circuit = "highway";
+  job.spec.engine = "tabu";
+  job.spec.tabu.iterations = 30;
+  for (const double value : {0.0, 1.5}) {
+    JobRequest bad = job;
+    bad.spec.cost.target_improvement = value;
+    EXPECT_FALSE(client.submit(bad, false, 0, &error).has_value()) << value;
+    EXPECT_NE(error.find("invalid spec: cost.target_improvement must be in "
+                         "(0, 1]"),
+              std::string::npos)
+        << error;
+  }
+  for (const double value : {1.0, -0.5}) {
+    JobRequest bad = job;
+    bad.spec.cost.initial_membership = value;
+    EXPECT_FALSE(client.submit(bad, false, 0, &error).has_value()) << value;
+    EXPECT_NE(error.find("invalid spec: cost.initial_membership must be in "
+                         "[0, 1)"),
+              std::string::npos)
+        << error;
+  }
+  const auto session = client.submit(job, false, 0, &error);
+  ASSERT_TRUE(session.has_value()) << error;
+  const auto served = client.wait(*session, nullptr, &error);
+  ASSERT_TRUE(served.has_value()) << error;
+  expect_deterministic_fields_eq(
+      *served, solver::Solver().solve(highway_spec("tabu", job.spec.seed, 30)));
+}
+
 TEST_F(DaemonTest, MalformedFrameDropsConnection) {
   const int fd = raw_connect(socket_path_);
   ASSERT_GE(fd, 0);

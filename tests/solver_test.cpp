@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -209,6 +211,36 @@ TEST(SolverValidate, RejectsNonsense) {
 
   spec.stop.target_quality = 1.5;
   EXPECT_FALSE(solver.validate(spec).empty());
+}
+
+TEST(SolverValidate, RejectsOutOfRangeGoalParameters) {
+  // FuzzyGoals::calibrate PTS_CHECKs both ranges during setup, so validate
+  // must reject every value it would abort on, NaN included.
+  const auto& nl = experiments::circuit("highway");
+  const Solver solver;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double value : {0.0, -0.25, 1.5, nan}) {
+    auto spec = experiments::base_spec(nl, "tabu", 1, true);
+    spec.cost.target_improvement = value;
+    const auto errors = solver.validate(spec);
+    ASSERT_EQ(errors.size(), 1u) << value;
+    EXPECT_EQ(errors[0], "cost.target_improvement must be in (0, 1]");
+  }
+  for (const double value : {1.0, -0.5, 1.5, nan}) {
+    auto spec = experiments::base_spec(nl, "tabu", 1, true);
+    spec.cost.initial_membership = value;
+    const auto errors = solver.validate(spec);
+    ASSERT_EQ(errors.size(), 1u) << value;
+    EXPECT_EQ(errors[0], "cost.initial_membership must be in [0, 1)");
+  }
+  // The closed ends of both ranges are valid and solve (a goal equal to the
+  // initial value gets the minimum tolerance, so the cost is far from 1).
+  auto spec = experiments::base_spec(nl, "tabu", 1, true);
+  spec.cost.target_improvement = 1.0;
+  spec.cost.initial_membership = 0.0;
+  spec.tabu.iterations = 5;
+  EXPECT_TRUE(solver.validate(spec).empty());
+  EXPECT_TRUE(std::isfinite(solver.solve(spec).best_cost));
 }
 
 TEST(SolverValidateDeath, SolveRefusesInvalidSpec) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
+#include "netlist/benchmarks.hpp"
 #include "netlist/generator.hpp"
 #include "placement/hpwl.hpp"
 #include "timing/paths.hpp"
@@ -306,6 +308,197 @@ TEST(Slack, CriticalityWeightsFavorCriticalNets) {
   // The most critical net carries the largest weight.
   for (const double w : weights) {
     EXPECT_LE(w, weights[most_critical] + 1e-12);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Outside oracle: STA and critical-path extraction written over the object
+// model (Cell::in_nets with repeats, Net::driver / sinks) and the delay
+// formula spelled out, independent of the CSR Topology the library reads.
+// run_sta, run_sta_uniform and extract_critical_paths must agree with it bit
+// for bit.
+
+double oracle_cell_delay(const Netlist& nl, CellId cell) {
+  const auto& c = nl.cell(cell);
+  if (!c.movable()) return 0.0;
+  const double fanout = c.out_net == netlist::kNoNet
+                            ? 0.0
+                            : static_cast<double>(nl.net(c.out_net).sinks.size());
+  return c.intrinsic_delay + c.load_factor * fanout;
+}
+
+template <class NetDelay>
+StaResult oracle_sta(const Netlist& nl, NetDelay net_delay) {
+  StaResult result;
+  result.arrival.assign(nl.num_cells(), 0.0);
+  std::vector<CellId> pred(nl.num_cells(), netlist::kNoCell);
+  for (CellId cell : nl.topological_order()) {
+    const auto& c = nl.cell(cell);
+    double max_in = 0.0;
+    CellId best_pred = netlist::kNoCell;
+    for (NetId net : c.in_nets) {
+      const auto& n = nl.net(net);
+      const double t = result.arrival[n.driver] + net_delay(net);
+      if (t > max_in || best_pred == netlist::kNoCell) {
+        max_in = t;
+        best_pred = n.driver;
+      }
+    }
+    pred[cell] = best_pred;
+    result.arrival[cell] = max_in + oracle_cell_delay(nl, cell);
+  }
+  CellId worst_po = netlist::kNoCell;
+  for (CellId cell : nl.pad_cells()) {
+    if (nl.cell(cell).kind != netlist::CellKind::PrimaryOutput) continue;
+    if (worst_po == netlist::kNoCell ||
+        result.arrival[cell] > result.arrival[worst_po]) {
+      worst_po = cell;
+    }
+  }
+  if (worst_po != netlist::kNoCell) {
+    result.critical_delay = result.arrival[worst_po];
+    for (CellId walk = worst_po; walk != netlist::kNoCell; walk = pred[walk]) {
+      result.critical_path.push_back(walk);
+    }
+    std::reverse(result.critical_path.begin(), result.critical_path.end());
+  }
+  return result;
+}
+
+std::vector<TimingPath> oracle_paths(const Netlist& nl, std::size_t k) {
+  const StaResult sta = oracle_sta(nl, [](NetId) { return 1.0; });
+  struct Candidate {
+    CellId po;
+    double arrival;
+  };
+  std::vector<Candidate> pos;
+  for (CellId cell : nl.pad_cells()) {
+    if (nl.cell(cell).kind == netlist::CellKind::PrimaryOutput) {
+      pos.push_back({cell, sta.arrival[cell]});
+    }
+  }
+  std::sort(pos.begin(), pos.end(), [](const Candidate& a, const Candidate& b) {
+    return a.arrival > b.arrival;
+  });
+  pos.resize(std::min(k, pos.size()));
+  std::vector<TimingPath> paths;
+  for (const Candidate& candidate : pos) {
+    TimingPath path;
+    CellId walk = candidate.po;
+    path.cells.push_back(walk);
+    while (!nl.cell(walk).in_nets.empty()) {
+      NetId best_net = netlist::kNoNet;
+      CellId best_driver = netlist::kNoCell;
+      double best_arrival = -1.0;
+      for (NetId net : nl.cell(walk).in_nets) {
+        const CellId driver = nl.net(net).driver;
+        if (sta.arrival[driver] > best_arrival) {
+          best_arrival = sta.arrival[driver];
+          best_net = net;
+          best_driver = driver;
+        }
+      }
+      path.nets.push_back(best_net);
+      path.cells.push_back(best_driver);
+      walk = best_driver;
+    }
+    std::reverse(path.cells.begin(), path.cells.end());
+    std::reverse(path.nets.begin(), path.nets.end());
+    for (CellId cell : path.cells) path.const_delay += oracle_cell_delay(nl, cell);
+    paths.push_back(std::move(path));
+  }
+  return paths;
+}
+
+/// A copy of `src` (same cell and net ids) in which every `every`-th gate
+/// also sinks its first input net on one more pin, after its other inputs,
+/// so Topology::net_repeats_cell is set on those nets.
+Netlist with_repeated_inputs(const Netlist& src, std::size_t every) {
+  netlist::NetlistBuilder b(src.name() + "-repeats");
+  for (const auto& c : src.cells()) {
+    switch (c.kind) {
+      case netlist::CellKind::PrimaryInput:
+        b.add_primary_input(c.name);
+        break;
+      case netlist::CellKind::PrimaryOutput:
+        b.add_primary_output(c.name);
+        break;
+      case netlist::CellKind::Gate:
+        b.add_gate(c.name, c.width, c.intrinsic_delay, c.load_factor);
+        break;
+    }
+  }
+  for (const auto& n : src.nets()) b.add_net(n.name, n.driver, n.weight);
+  std::size_t gates = 0;
+  for (CellId id = 0; id < src.num_cells(); ++id) {
+    const auto& c = src.cell(id);
+    for (NetId net : c.in_nets) b.connect_input(net, id);
+    if (c.movable() && ++gates % every == 0) b.connect_input(c.in_nets.front(), id);
+  }
+  return std::move(b).build();
+}
+
+void expect_sta_eq(const StaResult& got, const StaResult& want) {
+  ASSERT_EQ(got.arrival.size(), want.arrival.size());
+  for (std::size_t c = 0; c < want.arrival.size(); ++c) {
+    ASSERT_EQ(got.arrival[c], want.arrival[c]) << "cell " << c;
+  }
+  EXPECT_EQ(got.critical_delay, want.critical_delay);
+  EXPECT_EQ(got.critical_path, want.critical_path);
+}
+
+void expect_matches_oracle(const Netlist& nl) {
+  SCOPED_TRACE(nl.name());
+  DelayModel model;
+  model.wire_delay_per_unit = 0.07;
+  for (CellId cell = 0; cell < nl.num_cells(); ++cell) {
+    ASSERT_EQ(model.cell_delay(nl, cell), oracle_cell_delay(nl, cell));
+  }
+  expect_sta_eq(run_sta_uniform(nl, 1.0, model),
+                oracle_sta(nl, [](NetId) { return 1.0; }));
+  expect_sta_eq(run_sta_uniform(nl, 0.375, model),
+                oracle_sta(nl, [](NetId) { return 0.375; }));
+
+  const Layout layout(nl);
+  Rng rng(nl.num_cells());
+  const Placement p = Placement::random(nl, layout, rng);
+  const HpwlState hpwl(p);
+  expect_sta_eq(run_sta(nl, hpwl, model), oracle_sta(nl, [&](NetId net) {
+                  return model.wire_delay(hpwl.net_hpwl(net));
+                }));
+
+  for (const std::size_t k : {1u, 24u, 1000u}) {
+    const auto got = extract_critical_paths(nl, k, model);
+    const auto want = oracle_paths(nl, k);
+    ASSERT_EQ(got->size(), want.size()) << "k " << k;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got->path(i).cells, want[i].cells) << "k " << k << " path " << i;
+      EXPECT_EQ(got->path(i).nets, want[i].nets) << "k " << k << " path " << i;
+      EXPECT_EQ(got->path(i).const_delay, want[i].const_delay)
+          << "k " << k << " path " << i;
+    }
+  }
+}
+
+TEST(TimingOracle, PaperAndScaleCircuitsMatchTheObjectModel) {
+  for (const char* name : {"highway", "c532", "c1355", "c3540", "scale10k"}) {
+    expect_matches_oracle(netlist::make_benchmark(name));
+  }
+}
+
+TEST(TimingOracle, RepeatedInputPinsMatchTheObjectModel) {
+  for (const std::uint64_t seed : {3u, 8u, 21u}) {
+    GeneratorConfig config;
+    config.num_gates = 300;
+    config.num_primary_outputs = 16;
+    config.seed = seed;
+    const Netlist nl = with_repeated_inputs(generate_circuit(config), 3);
+    bool repeats = false;
+    for (NetId net = 0; net < nl.num_nets(); ++net) {
+      repeats = repeats || nl.topology().net_repeats_cell(net);
+    }
+    ASSERT_TRUE(repeats);
+    expect_matches_oracle(nl);
   }
 }
 

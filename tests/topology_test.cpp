@@ -102,6 +102,13 @@ void expect_topology_matches_reference(const Netlist& nl) {
     // The forward on the Netlist accessor is the same storage.
     const auto via_netlist = nl.nets_of(cell);
     ASSERT_EQ(via_netlist.data(), incident.data());
+    // in_nets() is the same list without the out net.
+    EXPECT_EQ(topo.out_net(cell), c.out_net);
+    const auto inputs = topo.in_nets(cell);
+    const std::size_t skip = c.out_net != kNoNet ? 1 : 0;
+    ASSERT_EQ(inputs.size(), expected.size() - skip) << "cell " << cell;
+    EXPECT_TRUE(std::equal(inputs.begin(), inputs.end(), expected.begin() + skip))
+        << "cell " << cell;
 
     EXPECT_EQ(topo.cell_width(cell), static_cast<double>(c.width));
     EXPECT_EQ(topo.cell_intrinsic_delay(cell), c.intrinsic_delay);
@@ -146,11 +153,17 @@ TEST(TopologyStructure, PadsMultiFanoutAndSelfAdjacentCells) {
   ASSERT_EQ(topo.nets_of(g1).size(), 2u);
   EXPECT_EQ(topo.nets_of(g1)[0], n1);
   EXPECT_EQ(topo.nets_of(g1)[1], na);
+  ASSERT_EQ(topo.in_nets(g1).size(), 1u);
+  EXPECT_EQ(topo.in_nets(g1)[0], na);
   // Pads: PI has only its driven net, PO only its sunk net.
   ASSERT_EQ(topo.nets_of(a).size(), 1u);
   EXPECT_EQ(topo.nets_of(a)[0], na);
+  EXPECT_TRUE(topo.in_nets(a).empty());
   ASSERT_EQ(topo.nets_of(o2).size(), 1u);
   EXPECT_EQ(topo.nets_of(o2)[0], n2);
+  EXPECT_EQ(topo.out_net(o2), kNoNet);
+  ASSERT_EQ(topo.in_nets(o2).size(), 1u);
+  EXPECT_EQ(topo.in_nets(o2)[0], n2);
   EXPECT_FALSE(topo.cell_movable(a));
   EXPECT_TRUE(topo.cell_movable(g1));
 }
