@@ -73,7 +73,20 @@ struct Daemon::Connection {
   /// injected write error never trips the kernel's own disconnect path.
   void send_frame(const pvm::Message& msg) {
     if (write_failed.load(std::memory_order_relaxed)) return;
-    const std::vector<std::uint8_t> bytes = pvm::encode_frame(msg);
+    send_bytes(pvm::encode_frame(msg));
+  }
+
+  /// Both frames in one write, so the peer reads them in one wake-up.
+  void send_frames(const pvm::Message& first, const pvm::Message& second) {
+    if (write_failed.load(std::memory_order_relaxed)) return;
+    std::vector<std::uint8_t> bytes;
+    pvm::encode_frame(first, bytes);
+    pvm::encode_frame(second, bytes);
+    send_bytes(bytes);
+  }
+
+ private:
+  void send_bytes(const std::vector<std::uint8_t>& bytes) {
     const std::lock_guard<std::mutex> lock(write_mutex);
     if (!send_all(fd, bytes.data(), bytes.size())) {
       write_failed.store(true, std::memory_order_relaxed);
@@ -466,7 +479,7 @@ void Daemon::handle_submit(Connection& connection, const SubmitMsg& submit) {
   // ECO mode: a repeat of a cacheable job is answered from the result
   // cache — kSubmitOk{cached, session 0} immediately followed by its kDone,
   // no solver thread. session 0 is unambiguous because both frames go out
-  // back-to-back on the reader thread, before any further submit is read.
+  // in one write on the reader thread, before any further submit is read.
   std::string key;
   if (config_.cache_entries > 0 && spec_cacheable(*job)) {
     std::uint64_t circuit_hash = 0;
@@ -489,9 +502,8 @@ void Daemon::handle_submit(Connection& connection, const SubmitMsg& submit) {
       SubmitOkMsg ok;
       ok.session = 0;
       ok.cached = true;
-      connection.send_frame(encode(ok));
       // The stored bytes go out as they are: nothing is decoded or encoded.
-      connection.send_frame(encode_done(0, **hit));
+      connection.send_frames(encode(ok), encode_done(0, **hit));
       return;
     }
   }

@@ -125,7 +125,8 @@ SessionManager::StartResult SessionManager::start(
   session->spec = std::move(spec);
   session->spec.stop.cancel = &session->token;
   if (options_.cache_entries > 0) session->cache_key = std::move(cache_key);
-  if (deadline_seconds > 0.0) {
+  const bool has_deadline = deadline_seconds > 0.0;
+  if (has_deadline) {
     // Clamp before the duration_cast: steady_clock durations are int64
     // nanoseconds, so ~9.2e9 unclamped seconds would overflow into a
     // deadline in the past and instantly expire the session.
@@ -142,14 +143,13 @@ SessionManager::StartResult SessionManager::start(
   // never be destroyed with its thread running. run_session only takes
   // mutex_ at its very end, so spawning under the lock cannot deadlock.
   StartResult result;
+  std::vector<std::unique_ptr<Session>> reaped;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    reap_locked();
+    reap_locked(reaped);
     if (draining_) {
       result.status = StartStatus::ShuttingDown;
-      return result;
-    }
-    if (running_locked() < options_.max_sessions) {
+    } else if (running_locked() < options_.max_sessions) {
       session->id = next_id_++;
       ++started_;
       Session* raw = session.get();
@@ -164,11 +164,16 @@ SessionManager::StartResult SessionManager::start(
       queue_.push_back(std::move(session));
     } else {
       result.status = StartStatus::QueueFull;
-      return result;
     }
   }
-  // A new deadline may be earlier than whatever the watchdog sleeps on.
-  watchdog_cv_.notify_all();
+  // Outside the lock: a thread that has published `finished` may still be
+  // exiting, and the join must not hold up the other sessions meanwhile.
+  for (auto& done : reaped) {
+    if (done->thread.joinable()) done->thread.join();
+  }
+  // A new deadline may be earlier than whatever the watchdog sleeps on;
+  // without one there is nothing to wake it for.
+  if (has_deadline && result.accepted()) watchdog_cv_.notify_all();
   return result;
 }
 
@@ -261,12 +266,11 @@ void SessionManager::promote_locked() {
   }
 }
 
-void SessionManager::reap_locked() {
+void SessionManager::reap_locked(std::vector<std::unique_ptr<Session>>& out) {
   auto it = sessions_.begin();
   while (it != sessions_.end()) {
-    Session& session = **it;
-    if (session.finished.load(std::memory_order_acquire)) {
-      if (session.thread.joinable()) session.thread.join();
+    if ((*it)->finished.load(std::memory_order_acquire)) {
+      out.push_back(std::move(*it));
       it = sessions_.erase(it);
     } else {
       ++it;

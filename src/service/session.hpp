@@ -177,9 +177,9 @@ class SessionManager {
   struct Session;
 
   void run_session(Session* session);
-  /// Joins + erases finished sessions. Caller holds mutex_; joins are
-  /// instant because finished_ is set last on the session thread.
-  void reap_locked();
+  /// Moves finished sessions into `out`; the caller joins their threads
+  /// after releasing mutex_. Caller holds mutex_.
+  void reap_locked(std::vector<std::unique_ptr<Session>>& out);
   /// Moves queued sessions into free running slots. Caller holds mutex_.
   void promote_locked();
   /// Running (unfinished) sessions. Caller holds mutex_.
