@@ -65,13 +65,10 @@ Placement greedy_placement(const netlist::Netlist& netlist, const Layout& layout
     slot_used[slot] = 1;
     placed[k] = 1;
     for (NetId net : netlist.nets_of(movable[k])) {
-      const auto& nn = netlist.net(net);
-      auto bump = [&](CellId c) {
+      for (CellId c : netlist.topology().pins(net)) {
         const std::size_t idx = movable_index[c];
         if (idx < n && !placed[idx]) ++connectivity[idx];
-      };
-      bump(nn.driver);
-      for (CellId sink : nn.sinks) bump(sink);
+      }
     }
   };
 
@@ -111,8 +108,7 @@ Placement greedy_placement(const netlist::Netlist& netlist, const Layout& layout
     double sx = 0.0, sy = 0.0;
     std::size_t neighbors = 0;
     for (NetId net : netlist.nets_of(movable[best_k])) {
-      const auto& nn = netlist.net(net);
-      auto accumulate = [&](CellId c) {
+      for (CellId c : netlist.topology().pins(net)) {
         const std::size_t idx = movable_index[c];
         if (idx < n && placed[idx]) {
           const auto& sp = slot_pos[assignment[idx]];
@@ -120,9 +116,7 @@ Placement greedy_placement(const netlist::Netlist& netlist, const Layout& layout
           sy += sp.y;
           ++neighbors;
         }
-      };
-      accumulate(nn.driver);
-      for (CellId sink : nn.sinks) accumulate(sink);
+      }
     }
     const double tx = neighbors > 0 ? sx / static_cast<double>(neighbors) : cx;
     const double ty = neighbors > 0 ? sy / static_cast<double>(neighbors) : cy;

@@ -44,7 +44,7 @@ double FuzzyGoals::quality(const Objectives& objectives) const {
 FuzzyGoals FuzzyGoals::calibrate(const Objectives& initial,
                                  double target_improvement,
                                  double initial_membership, double beta) {
-  PTS_CHECK(target_improvement > 0.0 && target_improvement <= 1.0);
+  PTS_CHECK(target_improvement > 0.0 && target_improvement < 1.0);
   PTS_CHECK(initial_membership >= 0.0 && initial_membership < 1.0);
   PTS_CHECK(beta >= 0.0 && beta <= 1.0);
   FuzzyGoals goals;

@@ -96,7 +96,9 @@ struct FuzzyGoals {
   /// Calibrates goals from the initial solution: goal_i =
   /// `target_improvement` * initial_i, tolerance sized so the initial
   /// solution sits at raw membership `initial_membership` (keeps initial
-  /// cost finite and comparable across circuits).
+  /// cost finite and comparable across circuits). `target_improvement`
+  /// must lie in (0, 1): a goal equal to the initial value would leave no
+  /// room to size the tolerance from.
   static FuzzyGoals calibrate(const Objectives& initial, double target_improvement,
                               double initial_membership, double beta);
 };

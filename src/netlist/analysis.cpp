@@ -44,17 +44,23 @@ CircuitStats analyze_circuit(const Netlist& netlist) {
                                                       : stats.primary_outputs) += 1;
   }
 
-  std::vector<std::size_t> net_degree;
+  // Input pins per cell, counted from the sink side so that a net sunk on
+  // two pins of one gate counts twice.
+  const Topology& topo = netlist.topology();
+  std::vector<std::size_t> net_degree, input_pins(netlist.num_cells(), 0);
   net_degree.reserve(netlist.num_nets());
-  for (const auto& net : netlist.nets()) net_degree.push_back(net.pin_count());
+  for (NetId net = 0; net < netlist.num_nets(); ++net) {
+    net_degree.push_back(topo.pins(net).size());
+    for (CellId sink : topo.sinks(net)) ++input_pins[sink];
+  }
   stats.net_degree = summarize(net_degree);
 
   std::vector<std::size_t> fanin, fanout;
   fanin.reserve(stats.gates);
   fanout.reserve(stats.gates);
   for (CellId gate : netlist.movable_cells()) {
-    fanin.push_back(netlist.cell(gate).in_nets.size());
-    fanout.push_back(netlist.net(netlist.cell(gate).out_net).sinks.size());
+    fanin.push_back(input_pins[gate]);
+    fanout.push_back(topo.sinks(topo.out_net(gate)).size());
   }
   stats.gate_fanin = summarize(fanin);
   stats.gate_fanout = summarize(fanout);

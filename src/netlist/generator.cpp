@@ -24,6 +24,13 @@ Netlist generate_circuit(const GeneratorConfig& config) {
 
   Rng rng(config.seed);
   NetlistBuilder builder(config.name);
+  // Expected sizes; dangling nets may add a few POs and connections.
+  const std::size_t num_nets = config.num_primary_inputs + config.num_gates;
+  builder.reserve(
+      num_nets + config.num_primary_outputs, num_nets,
+      static_cast<std::size_t>(static_cast<double>(config.num_gates) *
+                               std::max(1.0, config.avg_fanin)) +
+          config.num_primary_outputs);
 
   // Primary inputs, each driving a net. `nets` lists every net in creation
   // order; `net_source_gate[i]` is the index of the gate driving nets[i]
@@ -31,7 +38,9 @@ Netlist generate_circuit(const GeneratorConfig& config) {
   std::vector<NetId> nets;
   std::vector<std::size_t> net_source_gate;
   std::vector<char> used_as_input;
-  nets.reserve(config.num_primary_inputs + config.num_gates);
+  nets.reserve(num_nets);
+  net_source_gate.reserve(num_nets);
+  used_as_input.reserve(num_nets);
   for (std::size_t i = 0; i < config.num_primary_inputs; ++i) {
     const CellId pi = builder.add_primary_input(indexed("pi", i));
     nets.push_back(builder.add_net(indexed("npi", i), pi));
@@ -42,6 +51,7 @@ Netlist generate_circuit(const GeneratorConfig& config) {
   // Gates in topological creation order; inputs drawn from earlier nets.
   std::vector<CellId> gates;
   std::vector<std::size_t> fanin_of;  // current fanin per gate
+  std::vector<std::size_t> chosen;    // one gate's inputs, indices into `nets`
   gates.reserve(config.num_gates);
   fanin_of.reserve(config.num_gates);
   for (std::size_t g = 0; g < config.num_gates; ++g) {
@@ -63,8 +73,7 @@ Netlist generate_circuit(const GeneratorConfig& config) {
     }
     fanin = std::min(fanin, nets.size());
 
-    std::vector<std::size_t> chosen;  // indices into `nets`
-    chosen.reserve(fanin);
+    chosen.clear();
     while (chosen.size() < fanin) {
       std::size_t idx;
       if (rng.chance(config.locality) && nets.size() > 1) {
@@ -94,6 +103,8 @@ Netlist generate_circuit(const GeneratorConfig& config) {
   // requested POs, surplus dangling nets feed extra gate inputs where a
   // topologically later gate exists, otherwise extra POs are appended.
   std::vector<std::size_t> dangling;  // indices into `nets`, ascending
+  dangling.reserve(static_cast<std::size_t>(
+      std::count(used_as_input.begin(), used_as_input.end(), 0)));
   for (std::size_t i = 0; i < nets.size(); ++i) {
     if (!used_as_input[i]) dangling.push_back(i);
   }

@@ -4,10 +4,9 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "support/check.hpp"
 
@@ -35,25 +34,6 @@ bool parse_int_token(const std::string& tok, int& out) {
   const auto res = std::from_chars(begin, end, out);
   return res.ec == std::errc{} && res.ptr == end;
 }
-
-// Cell/net records accumulated before any NetlistBuilder call, so every
-// invariant the builder would PTS_CHECK-abort on is rejected here first.
-struct ParsedCell {
-  std::string name;
-  CellKind kind = CellKind::Gate;
-  int width = 1;
-  double delay = 0.0;
-  double load = 0.0;
-  int out_net = -1;        // index into ParsedNet vector, -1 if none
-  std::size_t inputs = 0;  // sink occurrences across all nets
-};
-
-struct ParsedNet {
-  std::string name;
-  double weight = 1.0;
-  std::size_t driver = 0;
-  std::vector<std::size_t> sinks;
-};
 
 ParseResult error_result(std::string message) {
   ParseResult r;
@@ -83,11 +63,13 @@ void write_netlist(const Netlist& netlist, std::ostream& os) {
         break;
     }
   }
-  for (const auto& net : netlist.nets()) {
+  for (NetId nid = 0; nid < netlist.num_nets(); ++nid) {
+    const Net& net = netlist.net(nid);
     os << "net " << net.name << ' ';
     print_double(os, net.weight);
-    os << ' ' << netlist.cell(net.driver).name;
-    for (CellId sink : net.sinks) os << ' ' << netlist.cell(sink).name;
+    for (CellId pin : netlist.topology().pins(nid)) {
+      os << ' ' << netlist.cell(pin).name;
+    }
     os << "\n";
   }
 }
@@ -99,18 +81,34 @@ std::string to_net_format(const Netlist& netlist) {
 }
 
 ParseResult try_parse_netlist(std::istream& is) {
+  // The builder is made at the first cell, once the circuit line (which
+  // must come first) has named it. Each line is checked for whatever the
+  // builder call it makes would abort on; whole-circuit checks are the
+  // builder's own, reported by try_build().
   std::string circuit_name = "unnamed";
   bool named = false;
-  std::vector<ParsedCell> cells;
-  std::vector<ParsedNet> nets;
-  std::unordered_map<std::string, std::size_t> cell_index;
-  std::unordered_set<std::string> all_names;  // cells and nets share one namespace
+  std::optional<NetlistBuilder> builder;
+  // Cells and nets share one namespace; a net maps to kNoCell.
+  std::unordered_map<std::string, CellId> names;
   std::string line;
   std::size_t line_no = 0;
 
   auto fail = [&](const std::string& why) {
     return error_result("netlist parse error at line " + std::to_string(line_no) +
                         ": " + why);
+  };
+  // Claims `name` and returns its slot, or nullptr if the name is taken.
+  auto claim = [&](const std::string& name) -> CellId* {
+    const auto [it, fresh] = names.emplace(name, kNoCell);
+    return fresh ? &it->second : nullptr;
+  };
+  auto cell_named = [&](const std::string& name) {
+    const auto it = names.find(name);
+    return it == names.end() ? kNoCell : it->second;
+  };
+  auto get_builder = [&]() -> NetlistBuilder& {
+    if (!builder) builder.emplace(circuit_name);
+    return *builder;
   };
 
   while (std::getline(is, line)) {
@@ -123,153 +121,72 @@ ParseResult try_parse_netlist(std::istream& is) {
       std::string name;
       if (!(ls >> name)) return fail("circuit needs a name");
       if (named) return fail("duplicate circuit line");
-      if (!cells.empty()) return fail("circuit line must precede cells");
+      if (builder) return fail("circuit line must precede cells");
       circuit_name = std::move(name);
       named = true;
     } else if (keyword == "pi" || keyword == "po") {
       std::string name;
       if (!(ls >> name)) return fail(keyword + " needs a name");
-      if (!all_names.insert(name).second)
-        return fail("duplicate name '" + name + "'");
-      ParsedCell c;
-      c.name = name;
-      c.kind = keyword == "pi" ? CellKind::PrimaryInput : CellKind::PrimaryOutput;
-      cell_index[name] = cells.size();
-      cells.push_back(std::move(c));
+      CellId* slot = claim(name);
+      if (slot == nullptr) return fail("duplicate name '" + name + "'");
+      *slot = keyword == "pi" ? get_builder().add_primary_input(name)
+                              : get_builder().add_primary_output(name);
     } else if (keyword == "gate") {
       std::string name, width_tok, delay_tok, load_tok;
       if (!(ls >> name >> width_tok >> delay_tok >> load_tok))
         return fail("malformed gate line");
-      ParsedCell c;
-      if (!parse_int_token(width_tok, c.width) || c.width < 1)
+      int width = 1;
+      double delay = 0.0, load = 0.0;
+      if (!parse_int_token(width_tok, width) || width < 1)
         return fail("gate '" + name + "' width must be a positive integer, got '" +
                     width_tok + "'");
-      if (!parse_double_token(delay_tok, c.delay) || c.delay < 0.0)
+      if (!parse_double_token(delay_tok, delay) || delay < 0.0)
         return fail("gate '" + name +
                     "' delay must be a finite non-negative number, got '" +
                     delay_tok + "'");
-      if (!parse_double_token(load_tok, c.load) || c.load < 0.0)
+      if (!parse_double_token(load_tok, load) || load < 0.0)
         return fail("gate '" + name +
                     "' load must be a finite non-negative number, got '" +
                     load_tok + "'");
-      if (!all_names.insert(name).second)
-        return fail("duplicate name '" + name + "'");
-      c.name = name;
-      c.kind = CellKind::Gate;
-      cell_index[name] = cells.size();
-      cells.push_back(std::move(c));
+      CellId* slot = claim(name);
+      if (slot == nullptr) return fail("duplicate name '" + name + "'");
+      *slot = get_builder().add_gate(name, width, delay, load);
     } else if (keyword == "net") {
       std::string name, weight_tok, driver;
       if (!(ls >> name >> weight_tok >> driver)) return fail("malformed net line");
-      ParsedNet n;
-      if (!parse_double_token(weight_tok, n.weight) || !(n.weight > 0.0))
+      double weight = 1.0;
+      if (!parse_double_token(weight_tok, weight) || !(weight > 0.0))
         return fail("net '" + name +
                     "' weight must be a finite positive number, got '" +
                     weight_tok + "'");
-      if (!all_names.insert(name).second)
-        return fail("duplicate name '" + name + "'");
-      const auto dit = cell_index.find(driver);
-      if (dit == cell_index.end()) return fail("unknown cell '" + driver + "'");
-      ParsedCell& d = cells[dit->second];
-      if (d.kind == CellKind::PrimaryOutput)
+      if (claim(name) == nullptr) return fail("duplicate name '" + name + "'");
+      const CellId d = cell_named(driver);
+      if (d == kNoCell) return fail("unknown cell '" + driver + "'");
+      if (builder->cell(d).kind == CellKind::PrimaryOutput)
         return fail("PO '" + driver + "' cannot drive a net");
-      if (d.out_net >= 0)
+      if (builder->cell(d).out_net != kNoNet)
         return fail("cell '" + driver + "' already drives a net");
-      n.name = name;
-      n.driver = dit->second;
+      const NetId net = builder->add_net(name, d, weight);
+      std::size_t sinks = 0;
       std::string sink;
       while (ls >> sink) {
-        const auto sit = cell_index.find(sink);
-        if (sit == cell_index.end()) return fail("unknown cell '" + sink + "'");
-        if (sit->second == n.driver)
-          return fail("net '" + name + "' is a self-loop on '" + sink + "'");
-        ParsedCell& s = cells[sit->second];
-        if (s.kind == CellKind::PrimaryInput)
+        const CellId s = cell_named(sink);
+        if (s == kNoCell) return fail("unknown cell '" + sink + "'");
+        if (s == d) return fail("net '" + name + "' is a self-loop on '" + sink + "'");
+        if (builder->cell(s).kind == CellKind::PrimaryInput)
           return fail("PI '" + sink + "' cannot be a net sink");
-        ++s.inputs;
-        n.sinks.push_back(sit->second);
+        builder->connect_input(net, s);
+        ++sinks;
       }
-      if (n.sinks.empty()) return fail("net '" + name + "' has no sinks");
-      d.out_net = static_cast<int>(nets.size());
-      nets.push_back(std::move(n));
+      if (sinks == 0) return fail("net '" + name + "' has no sinks");
     } else {
       return fail("unknown keyword '" + keyword + "'");
     }
   }
 
-  // Whole-circuit structural checks (the finalize() invariants), reported as
-  // errors instead of the builder's aborts.
-  for (const ParsedCell& c : cells) {
-    switch (c.kind) {
-      case CellKind::PrimaryInput:
-        if (c.out_net < 0)
-          return error_result("netlist error: PI '" + c.name +
-                              "' does not drive a net");
-        break;
-      case CellKind::PrimaryOutput:
-        if (c.inputs != 1)
-          return error_result("netlist error: PO '" + c.name +
-                              "' must sink exactly one net, sinks " +
-                              std::to_string(c.inputs));
-        break;
-      case CellKind::Gate:
-        if (c.inputs == 0)
-          return error_result("netlist error: gate '" + c.name +
-                              "' has no inputs");
-        if (c.out_net < 0)
-          return error_result("netlist error: gate '" + c.name +
-                              "' does not drive a net");
-        break;
-    }
-  }
-
-  // Kahn acyclicity check, mirroring Netlist::finalize() (indegree counts
-  // sink occurrences, so duplicate pins are handled identically).
-  std::vector<std::size_t> indegree(cells.size(), 0);
-  for (const ParsedNet& n : nets) {
-    for (std::size_t sink : n.sinks) ++indegree[sink];
-  }
-  std::vector<std::size_t> frontier;
-  for (std::size_t id = 0; id < cells.size(); ++id) {
-    if (indegree[id] == 0) frontier.push_back(id);
-  }
-  std::size_t ordered = 0;
-  while (!frontier.empty()) {
-    const std::size_t id = frontier.back();
-    frontier.pop_back();
-    ++ordered;
-    if (cells[id].out_net < 0) continue;
-    for (std::size_t sink : nets[static_cast<std::size_t>(cells[id].out_net)].sinks) {
-      if (--indegree[sink] == 0) frontier.push_back(sink);
-    }
-  }
-  if (ordered != cells.size())
-    return error_result("netlist error: netlist contains a combinational cycle");
-
-  // Everything validated — no NetlistBuilder check can fire from here on.
-  NetlistBuilder builder(circuit_name);
-  std::vector<CellId> ids(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ParsedCell& c = cells[i];
-    switch (c.kind) {
-      case CellKind::PrimaryInput:
-        ids[i] = builder.add_primary_input(c.name);
-        break;
-      case CellKind::PrimaryOutput:
-        ids[i] = builder.add_primary_output(c.name);
-        break;
-      case CellKind::Gate:
-        ids[i] = builder.add_gate(c.name, c.width, c.delay, c.load);
-        break;
-    }
-  }
-  for (const ParsedNet& n : nets) {
-    const NetId net = builder.add_net(n.name, ids[n.driver], n.weight);
-    for (std::size_t sink : n.sinks) builder.connect_input(net, ids[sink]);
-  }
-  ParseResult r;
-  r.netlist = std::move(builder).build();
-  return r;
+  BuildResult built = std::move(get_builder()).try_build();
+  if (!built.ok()) return error_result("netlist error: " + built.error);
+  return built;
 }
 
 ParseResult try_parse_netlist_string(const std::string& text) {
@@ -341,12 +258,14 @@ std::uint64_t content_hash(const Netlist& netlist) {
     mix_f64(cell.intrinsic_delay);
     mix_f64(cell.load_factor);
   }
-  for (const auto& net : netlist.nets()) {
+  for (NetId nid = 0; nid < netlist.num_nets(); ++nid) {
+    const Net& net = netlist.net(nid);
+    const auto sinks = netlist.topology().sinks(nid);
     mix_str(net.name);
     mix_f64(net.weight);
     mix_u64(net.driver);
-    mix_u64(net.sinks.size());
-    for (CellId sink : net.sinks) mix_u64(sink);
+    mix_u64(sinks.size());
+    for (CellId sink : sinks) mix_u64(sink);
   }
   return h;
 }

@@ -13,18 +13,19 @@
 // round-trip exactly (same ids, same pin order, bit-identical doubles —
 // write_netlist prints shortest-round-trip decimals).
 //
-// Parsing untrusted bytes goes through the try_* entry points: they
-// validate everything the NetlistBuilder would PTS_CHECK-abort on
-// (duplicate names, double-driven nets, self-loops, dangling cells,
-// combinational cycles, non-finite numerics) *before* construction and
-// report failures as an error string naming the offending line — a bad
-// .net stream is an error, never process death. The non-try wrappers keep
-// the historical abort-on-error contract for trusted in-process data.
+// Parsing untrusted bytes goes through the try_* entry points: each line
+// is checked for what its NetlistBuilder call would PTS_CHECK-abort on
+// (duplicate names, double-driven nets, self-loops, PI sinks, non-finite
+// numerics) before the call is made, and the whole-circuit invariants
+// (dangling cells, combinational cycles) come back as the builder's
+// try_build() error. Failures are an error string naming the offending
+// line or cell — a bad .net stream is an error, never process death. The
+// non-try wrappers keep the historical abort-on-error contract for trusted
+// in-process data.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "netlist/netlist.hpp"
@@ -37,12 +38,7 @@ std::string to_net_format(const Netlist& netlist);
 /// Outcome of a fallible parse/load. ok() iff `netlist` is engaged; on
 /// failure `error` describes the first problem (with its 1-based line
 /// number for parse errors).
-struct ParseResult {
-  std::optional<Netlist> netlist;
-  std::string error;
-
-  bool ok() const { return netlist.has_value(); }
-};
+using ParseResult = BuildResult;
 
 /// Parses the `.net` format without ever aborting: every malformed line,
 /// structural violation, or non-finite numeric becomes ParseResult::error.

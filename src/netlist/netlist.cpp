@@ -8,13 +8,13 @@ namespace pts::netlist {
 
 namespace {
 
-/// Aborts on the first name that repeats an earlier one, checking cells and
-/// then nets in id order. The table is open-addressed with linear probing;
-/// each 8-byte slot holds the top 32 bits of the name's hash and its index
-/// (cells first, then nets), so no name is copied, and its capacity is a
-/// power of two at least twice the name count.
-void check_unique_names(const std::vector<Cell>& cells,
-                        const std::vector<Net>& nets) {
+/// Returns an error naming the first name that repeats an earlier one,
+/// checking cells and then nets in id order. The table is open-addressed
+/// with linear probing; each 8-byte slot holds the top 32 bits of the
+/// name's hash and its index (cells first, then nets), so no name is
+/// copied, and its capacity is a power of two at least twice the name count.
+std::string check_unique_names(const std::vector<Cell>& cells,
+                               const std::vector<Net>& nets) {
   struct Slot {
     std::uint32_t tag;
     std::uint32_t index;
@@ -42,11 +42,12 @@ void check_unique_names(const std::vector<Cell>& cells,
   };
   std::uint32_t index = 0;
   for (const auto& c : cells) {
-    PTS_CHECK_MSG(insert(c.name, index++), "duplicate cell name");
+    if (!insert(c.name, index++)) return "duplicate cell name '" + c.name + "'";
   }
   for (const auto& n : nets) {
-    PTS_CHECK_MSG(insert(n.name, index++), "duplicate net name");
+    if (!insert(n.name, index++)) return "duplicate net name '" + n.name + "'";
   }
+  return {};
 }
 
 }  // namespace
@@ -60,61 +61,66 @@ std::optional<CellId> Netlist::find_cell(std::string_view name) const {
   return std::nullopt;
 }
 
-void Netlist::finalize() {
+std::string Netlist::finalize(std::span<const Connection> connections) {
   const auto n_cells = cells_.size();
+  if (std::string error = check_unique_names(cells_, nets_); !error.empty()) {
+    return error;
+  }
+
+  // Input pins per cell, a net sunk on two pins counted twice: the cell
+  // checks read it, and the Kahn sort below takes it as the in-degrees.
+  std::vector<std::uint32_t> indegree(n_cells, 0);
+  for (const Connection& c : connections) ++indegree[c.sink];
+
+  const auto gates = static_cast<std::size_t>(
+      std::count_if(cells_.begin(), cells_.end(),
+                    [](const Cell& c) { return c.kind == CellKind::Gate; }));
   movable_.clear();
+  movable_.reserve(gates);
   pads_.clear();
+  pads_.reserve(n_cells - gates);
   total_movable_width_ = 0;
-
-  check_unique_names(cells_, nets_);
-
+  // add_gate, add_net and connect_input already refused a non-positive
+  // width, a PO driver, a second out net, a PI sink and a self-loop.
   for (CellId id = 0; id < n_cells; ++id) {
     const Cell& c = cells_[id];
-    PTS_CHECK_MSG(c.width >= 1, "cell width must be positive");
     switch (c.kind) {
       case CellKind::PrimaryInput:
-        PTS_CHECK_MSG(c.in_nets.empty(), "PI cannot have inputs");
-        PTS_CHECK_MSG(c.out_net != kNoNet, "PI must drive a net");
+        if (c.out_net == kNoNet) return "PI '" + c.name + "' does not drive a net";
         pads_.push_back(id);
         break;
       case CellKind::PrimaryOutput:
-        PTS_CHECK_MSG(c.in_nets.size() == 1, "PO must sink exactly one net");
-        PTS_CHECK_MSG(c.out_net == kNoNet, "PO cannot drive a net");
+        if (indegree[id] != 1) {
+          return "PO '" + c.name + "' must sink exactly one net, sinks " +
+                 std::to_string(indegree[id]);
+        }
         pads_.push_back(id);
         break;
       case CellKind::Gate:
-        PTS_CHECK_MSG(!c.in_nets.empty(), "gate must have at least one input");
-        PTS_CHECK_MSG(c.out_net != kNoNet, "gate must drive a net");
+        if (indegree[id] == 0) return "gate '" + c.name + "' has no inputs";
+        if (c.out_net == kNoNet) return "gate '" + c.name + "' does not drive a net";
         movable_.push_back(id);
         total_movable_width_ += c.width;
         break;
     }
   }
 
+  topology_.build(*this, connections);
+
   for (NetId nid = 0; nid < nets_.size(); ++nid) {
     const Net& n = nets_[nid];
-    PTS_CHECK_MSG(n.driver != kNoCell, "net must have a driver");
-    PTS_CHECK_MSG(!n.sinks.empty(), "net must have at least one sink");
-    PTS_CHECK_MSG(cells_[n.driver].out_net == nid, "driver/out_net mismatch");
-    PTS_CHECK_MSG(n.weight > 0.0, "net weight must be positive");
+    if (topology_.sinks(nid).empty()) return "net '" + n.name + "' has no sinks";
+    if (!(n.weight > 0.0)) return "net '" + n.name + "' weight must be positive";
   }
-
-  // Flatten the validated pin graph into the CSR view (incident-net index
-  // included — a cell may legitimately take the same net on two pins, so
-  // the index is deduplicated there).
-  topology_.build(*this);
 
   // Kahn topological sort over the CSR (edge: net driver -> sink). In-degrees
   // count sink pins, so a gate sinking one net on two pins waits for both
   // decrements; the frontier is LIFO.
-  std::vector<std::uint32_t> indegree(n_cells, 0);
-  for (NetId nid = 0; nid < nets_.size(); ++nid) {
-    for (CellId sink : topology_.sinks(nid)) ++indegree[sink];
-  }
   topo_.clear();
   topo_.reserve(n_cells);
   std::vector<std::uint32_t> depth(n_cells, 0);
   std::vector<CellId> frontier;
+  frontier.reserve(n_cells);
   for (CellId id = 0; id < n_cells; ++id) {
     if (indegree[id] == 0) frontier.push_back(id);
   }
@@ -130,21 +136,28 @@ void Netlist::finalize() {
       if (--indegree[sink] == 0) frontier.push_back(sink);
     }
   }
-  PTS_CHECK_MSG(topo_.size() == n_cells, "netlist contains a combinational cycle");
+  if (topo_.size() != n_cells) return "netlist contains a combinational cycle";
   logic_depth_ = depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
+  return {};
 }
 
 NetlistBuilder::NetlistBuilder(std::string name) { netlist_.name_ = std::move(name); }
 
+void NetlistBuilder::reserve(std::size_t cells, std::size_t nets,
+                             std::size_t connections) {
+  netlist_.cells_.reserve(cells);
+  netlist_.nets_.reserve(nets);
+  connections_.reserve(connections);
+}
+
 CellId NetlistBuilder::add_cell(std::string name, CellKind kind, int width,
                                 double delay, double load) {
-  Cell c;
+  Cell& c = netlist_.cells_.emplace_back();
   c.name = std::move(name);
   c.kind = kind;
   c.width = width;
   c.intrinsic_delay = delay;
   c.load_factor = load;
-  netlist_.cells_.push_back(std::move(c));
   return static_cast<CellId>(netlist_.cells_.size() - 1);
 }
 
@@ -170,11 +183,10 @@ NetId NetlistBuilder::add_net(std::string name, CellId driver, double weight) {
   Cell& d = netlist_.cells_[driver];
   PTS_CHECK_MSG(d.kind != CellKind::PrimaryOutput, "PO cannot drive a net");
   PTS_CHECK_MSG(d.out_net == kNoNet, "cell already drives a net");
-  Net n;
+  Net& n = netlist_.nets_.emplace_back();
   n.name = std::move(name);
   n.driver = driver;
   n.weight = weight;
-  netlist_.nets_.push_back(std::move(n));
   const auto nid = static_cast<NetId>(netlist_.nets_.size() - 1);
   d.out_net = nid;
   return nid;
@@ -183,16 +195,23 @@ NetId NetlistBuilder::add_net(std::string name, CellId driver, double weight) {
 void NetlistBuilder::connect_input(NetId net, CellId sink) {
   PTS_CHECK(net < netlist_.nets_.size());
   PTS_CHECK(sink < netlist_.cells_.size());
-  Cell& s = netlist_.cells_[sink];
-  PTS_CHECK_MSG(s.kind != CellKind::PrimaryInput, "PI cannot have inputs");
+  PTS_CHECK_MSG(netlist_.cells_[sink].kind != CellKind::PrimaryInput,
+                "PI cannot have inputs");
   PTS_CHECK_MSG(netlist_.nets_[net].driver != sink, "self-loop net");
-  netlist_.nets_[net].sinks.push_back(sink);
-  s.in_nets.push_back(net);
+  connections_.push_back({net, sink});
+}
+
+BuildResult NetlistBuilder::try_build() && {
+  BuildResult result;
+  result.error = netlist_.finalize(connections_);
+  if (result.error.empty()) result.netlist.emplace(std::move(netlist_));
+  return result;
 }
 
 Netlist NetlistBuilder::build() && {
-  netlist_.finalize();
-  return std::move(netlist_);
+  BuildResult result = std::move(*this).try_build();
+  PTS_CHECK_MSG(result.ok(), result.error.c_str());
+  return std::move(*result.netlist);
 }
 
 }  // namespace pts::netlist

@@ -37,22 +37,19 @@ struct Cell {
   double intrinsic_delay = 1.0;
   /// Additional delay per fanout sink on the driven net (ns).
   double load_factor = 0.1;
-  /// Net driven by this cell (kNoNet for primary outputs).
+  /// Net driven by this cell (kNoNet for primary outputs). The nets
+  /// feeding its input pins live in the Topology (in_nets, nets_of).
   NetId out_net = kNoNet;
-  /// Nets feeding this cell's input pins (empty for primary inputs).
-  std::vector<NetId> in_nets;
 
   bool movable() const { return kind == CellKind::Gate; }
 };
 
 struct Net {
   std::string name;
+  /// The sinks live in the Topology (sinks, pins).
   CellId driver = kNoCell;
-  std::vector<CellId> sinks;
   /// Relative importance (switching activity); scales wirelength cost.
   double weight = 1.0;
-
-  std::size_t pin_count() const { return sinks.size() + 1; }
 };
 
 /// Immutable, validated netlist. Build via NetlistBuilder or the generator.
@@ -81,12 +78,13 @@ class Netlist {
   /// Ids of pads (PI + PO), in id order.
   const std::vector<CellId>& pad_cells() const { return pads_; }
 
-  /// All nets incident to `id` (out_net first, then in_nets), deduplicated.
-  /// Thin forward over the CSR topology storage.
+  /// All nets incident to `id` (out_net first, then the input nets),
+  /// deduplicated. Thin forward over the CSR topology storage.
   std::span<const NetId> nets_of(CellId id) const { return topology_.nets_of(id); }
 
-  /// Flat CSR view of the pin graph plus SoA copies of the hot fields.
-  /// Built once at finalize(); immutable and shareable across workers.
+  /// The netlist's adjacency: the flat CSR pin graph plus SoA copies of the
+  /// hot fields. Built once by the builder; immutable and shareable across
+  /// workers.
   const Topology& topology() const { return topology_; }
 
   std::optional<CellId> find_cell(std::string_view name) const;
@@ -106,7 +104,9 @@ class Netlist {
   friend class NetlistBuilder;
   Netlist() = default;
 
-  void finalize();  // builds indexes; PTS_CHECKs structural invariants
+  /// Validates the circuit and builds the Topology from `connections`;
+  /// returns the first violated invariant, or an empty string.
+  std::string finalize(std::span<const Connection> connections);
 
   std::string name_;
   std::vector<Cell> cells_;
@@ -119,7 +119,16 @@ class Netlist {
   std::size_t logic_depth_ = 0;
 };
 
-/// Incremental netlist construction with validation at build() time.
+/// Outcome of NetlistBuilder::try_build: ok() iff `netlist` is engaged;
+/// otherwise `error` names the first invariant the circuit breaks.
+struct BuildResult {
+  std::optional<Netlist> netlist;
+  std::string error;
+
+  bool ok() const { return netlist.has_value(); }
+};
+
+/// Incremental netlist construction with validation at build time.
 ///
 /// Usage:
 ///   NetlistBuilder b("adder");
@@ -129,9 +138,17 @@ class Netlist {
 ///   b.connect_input(n, g);
 ///   ...
 ///   Netlist nl = std::move(b).build();
+///
+/// The add_* and connect_input calls abort on a misuse they can see at once
+/// (a PO driving a net, a second net on one driver, a PI as a sink, a
+/// self-loop); whole-circuit invariants wait for try_build()/build().
 class NetlistBuilder {
  public:
   explicit NetlistBuilder(std::string name);
+
+  /// Reserves room for the expected counts. Optional: it only spares the
+  /// regrowth of the builder's arrays.
+  void reserve(std::size_t cells, std::size_t nets, std::size_t connections);
 
   CellId add_primary_input(std::string name);
   CellId add_primary_output(std::string name);
@@ -142,15 +159,25 @@ class NetlistBuilder {
   /// one net.
   NetId add_net(std::string name, CellId driver, double weight = 1.0);
 
-  /// Adds `sink` (gate or PO) as a sink of `net`.
+  /// Adds `sink` (gate or PO) as the next sink of `net`, on its next input
+  /// pin. Connect order is kept: it orders pins(net) and nets_of(sink).
   void connect_input(NetId net, CellId sink);
 
   std::size_t num_cells() const { return netlist_.cells_.size(); }
   std::size_t num_nets() const { return netlist_.nets_.size(); }
+  const Cell& cell(CellId id) const {
+    PTS_CHECK(id < netlist_.cells_.size());
+    return netlist_.cells_[id];
+  }
 
-  /// Validates and finalizes. Checks: every net has >= 1 sink, every gate
-  /// has >= 1 input and drives a net, every PO sinks exactly one net, the
-  /// cell graph is acyclic, and names are unique.
+  /// Validates and finalizes. Checks: names are unique, every net has >= 1
+  /// sink, every gate has >= 1 input and drives a net, every PI drives a
+  /// net, every PO sinks exactly one net, and the cell graph is acyclic.
+  /// A failed check is returned as BuildResult::error, never an abort.
+  BuildResult try_build() &&;
+
+  /// try_build() for trusted, in-process construction: aborts with the
+  /// error text.
   Netlist build() &&;
 
  private:
@@ -158,6 +185,7 @@ class NetlistBuilder {
                   double load);
 
   Netlist netlist_;
+  std::vector<Connection> connections_;  // every connect_input, in order
 };
 
 }  // namespace pts::netlist

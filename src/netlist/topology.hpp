@@ -1,21 +1,21 @@
-// Flat CSR (compressed-sparse-row) view of the netlist pin graph.
+// Flat CSR (compressed-sparse-row) view of the netlist pin graph: the
+// netlist's one adjacency.
 //
-// The Netlist's object model (Cell / Net structs with per-object vectors)
-// is convenient to build and validate, but a vector-of-vectors layout makes
-// the search inner loop cache-miss bound: every trial move chases one heap
-// pointer per net for the sink list and loads ~80-byte structs (name string
-// included) to read a 8-byte weight. The Topology packs everything the hot
-// loops touch into contiguous arrays (DESIGN.md §7):
+// The Cell / Net structs hold only per-object fields (names, kinds, widths,
+// delays, weights, a cell's out net and a net's driver). Who sinks which
+// net lives here, in contiguous arrays the search inner loop reads without
+// chasing a pointer per net (DESIGN.md §7):
 //
 //   pin_offsets / net_pins    net -> pins, driver first, then the sinks in
-//                             net order (so walking pins(net) visits cells
-//                             in exactly the order compute_box always did —
-//                             summation/min-max order is part of the API)
+//                             connect order (so walking pins(net) visits
+//                             cells in exactly the order compute_box always
+//                             did — summation/min-max order is part of the
+//                             API)
 //   cell_net_offsets / cell_nets
 //                             cell -> incident nets, out_net first, then
-//                             input nets deduplicated in first-seen order
-//                             (identical to the old Netlist::nets_of); the
-//                             slice after the out net is in_nets(cell)
+//                             input nets deduplicated in first-seen (connect)
+//                             order; the slice after the out net is
+//                             in_nets(cell)
 //   cell_out_net              per-cell driven net (SoA copy of Cell::out_net)
 //   net_weight                per-net weight (SoA copy of Net::weight)
 //   net_repeats_cell          per-net flag: some cell is listed twice
@@ -23,12 +23,12 @@
 //   cell_width / cell_intrinsic_delay / cell_load_factor / cell_movable
 //                             SoA copies of the Cell fields hot loops read
 //
-// The view is built once by Netlist::finalize() and is immutable afterwards;
-// all workers of a parallel search share it read-only. finalize() sorts the
-// cells over it, and STA, critical-path extraction and DelayModel read it
-// too. The legacy accessors (Netlist::nets_of, Net::sinks, ...) remain
-// valid — nets_of() is a thin forward over this storage — so existing code
-// keeps compiling.
+// NetlistBuilder records each connect_input as one (net, sink) Connection;
+// Netlist::finalize() validates them and Topology::build() turns them into
+// both indexes with stable counting sorts. The view is immutable afterwards;
+// all workers of a parallel search share it read-only, and the topological
+// sort, STA, critical-path extraction, DelayModel, the .net writer and
+// content_hash all read it.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +42,13 @@ namespace pts::netlist {
 
 class Netlist;
 
+/// One sink pin, as NetlistBuilder::connect_input records it: `sink` takes
+/// `net` on its next input pin.
+struct Connection {
+  NetId net;
+  CellId sink;
+};
+
 class Topology {
  public:
   std::size_t num_cells() const {
@@ -50,10 +57,10 @@ class Topology {
   std::size_t num_nets() const {
     return pin_offsets_.empty() ? 0 : pin_offsets_.size() - 1;
   }
-  /// Total pin count (= sum of Net::pin_count over all nets).
+  /// Total pin count: every net's driver and sinks.
   std::size_t num_pins() const { return net_pins_.size(); }
 
-  /// All pins of `net`: the driver first, then the sinks in net order.
+  /// All pins of `net`: the driver first, then the sinks in connect order.
   std::span<const CellId> pins(NetId net) const {
     PTS_DCHECK(net < num_nets());  // also rejects the kNoNet sentinel
     return {net_pins_.data() + pin_offsets_[net],
@@ -114,7 +121,10 @@ class Topology {
 
  private:
   friend class Netlist;
-  void build(const Netlist& netlist);
+  /// Fills every array from the netlist's cells and nets and the builder's
+  /// connections, by a stable counting sort of the connections on net and
+  /// on sink.
+  void build(const Netlist& netlist, std::span<const Connection> connections);
 
   std::vector<std::uint32_t> pin_offsets_;       // num_nets + 1
   std::vector<CellId> net_pins_;                 // driver-first pin lists

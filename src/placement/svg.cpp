@@ -63,9 +63,8 @@ std::string render_svg(const Placement& placement, const HpwlState& hpwl,
     });
     nets.resize(std::min<std::size_t>(options.flylines, nets.size()));
     for (netlist::NetId net : nets) {
-      const auto& n = netlist.net(net);
-      const Point d = placement.position(n.driver);
-      for (netlist::CellId sink : n.sinks) {
+      const Point d = placement.position(netlist.topology().driver(net));
+      for (netlist::CellId sink : netlist.topology().sinks(net)) {
         const Point q = placement.position(sink);
         os << "<line x1=\"" << px(d.x) << "\" y1=\"" << py(d.y) << "\" x2=\""
            << px(q.x) << "\" y2=\"" << py(q.y)

@@ -119,8 +119,8 @@ std::vector<std::string> Solver::validate(const SolveSpec& spec) const {
     errors.push_back("cost.rebuild_interval must be >= 1");
   }
   if (!(spec.cost.target_improvement > 0.0 &&
-        spec.cost.target_improvement <= 1.0)) {
-    errors.push_back("cost.target_improvement must be in (0, 1]");
+        spec.cost.target_improvement < 1.0)) {
+    errors.push_back("cost.target_improvement must be in (0, 1)");
   }
   if (!(spec.cost.initial_membership >= 0.0 &&
         spec.cost.initial_membership < 1.0)) {

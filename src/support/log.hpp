@@ -5,6 +5,7 @@
 // benches turn it down to `Warn` to keep table output clean.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -21,23 +22,33 @@ void log_line(LogLevel level, const std::string& tag, const std::string& message
 
 namespace detail {
 
+/// One line under construction. The threshold is checked when the line
+/// starts: a line it drops builds no stream, formats no field and writes
+/// nothing.
 class LogStream {
  public:
-  LogStream(LogLevel level, std::string tag) : level_(level), tag_(std::move(tag)) {}
+  LogStream(LogLevel level, std::string tag) : level_(level) {
+    if (level_ >= log_level()) {
+      tag_ = std::move(tag);
+      out_.emplace();
+    }
+  }
   LogStream(const LogStream&) = delete;
   LogStream& operator=(const LogStream&) = delete;
-  ~LogStream() { log_line(level_, tag_, out_.str()); }
+  ~LogStream() {
+    if (out_) log_line(level_, tag_, out_->str());
+  }
 
   template <typename T>
   LogStream& operator<<(const T& value) {
-    out_ << value;
+    if (out_) *out_ << value;
     return *this;
   }
 
  private:
   LogLevel level_;
   std::string tag_;
-  std::ostringstream out_;
+  std::optional<std::ostringstream> out_;  // engaged iff the line is kept
 };
 
 }  // namespace detail

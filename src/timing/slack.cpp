@@ -24,6 +24,7 @@ SlackResult analyze_slack(const netlist::Netlist& netlist,
   //   required(c)   = min over fanout sinks s of
   //                   required(s) - cell_delay(s) - wire_delay(out_net(c))
   const auto& topo = netlist.topological_order();
+  const netlist::Topology& topology = netlist.topology();
   result.required.assign(netlist.num_cells(),
                          std::numeric_limits<double>::infinity());
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
@@ -36,7 +37,7 @@ SlackResult analyze_slack(const netlist::Netlist& netlist,
     if (c.out_net == kNoNet) continue;
     const double wire = model.wire_delay(hpwl.net_hpwl(c.out_net));
     double req = std::numeric_limits<double>::infinity();
-    for (CellId sink : netlist.net(c.out_net).sinks) {
+    for (CellId sink : topology.sinks(c.out_net)) {
       req = std::min(req, result.required[sink] -
                               model.cell_delay(netlist, sink) - wire);
     }
@@ -59,14 +60,14 @@ SlackResult analyze_slack(const netlist::Netlist& netlist,
   result.net_criticality.assign(netlist.num_nets(), 0.0);
   const double span = result.target > 0.0 ? result.target : 1.0;
   for (NetId net = 0; net < netlist.num_nets(); ++net) {
-    const auto& n = netlist.net(net);
+    const CellId driver = topology.driver(net);
     const double wire = model.wire_delay(hpwl.net_hpwl(net));
     double net_slack = std::numeric_limits<double>::infinity();
-    for (CellId sink : n.sinks) {
+    for (CellId sink : topology.sinks(net)) {
       const double required_at_sink =
           result.required[sink] - model.cell_delay(netlist, sink);
       net_slack = std::min(net_slack,
-                           required_at_sink - (result.arrival[n.driver] + wire));
+                           required_at_sink - (result.arrival[driver] + wire));
     }
     const double criticality = 1.0 - net_slack / span;
     result.net_criticality[net] = std::clamp(criticality, 0.0, 1.0);

@@ -64,9 +64,9 @@ TEST(NetlistBuilder, TopologicalOrderRespectsEdges) {
   ASSERT_EQ(topo.size(), nl.num_cells());
   std::map<CellId, std::size_t> position;
   for (std::size_t i = 0; i < topo.size(); ++i) position[topo[i]] = i;
-  for (const auto& net : nl.nets()) {
-    for (CellId sink : net.sinks) {
-      EXPECT_LT(position[net.driver], position[sink]);
+  for (NetId net = 0; net < nl.num_nets(); ++net) {
+    for (CellId sink : nl.topology().sinks(net)) {
+      EXPECT_LT(position[nl.net(net).driver], position[sink]);
     }
   }
 }
@@ -165,6 +165,36 @@ TEST(NetlistDeath, RejectsADuplicateThatIsTheLastOfManyNames) {
                "duplicate net name");
 }
 
+TEST(NetlistBuilder, TryBuildReturnsTheFirstErrorInsteadOfAborting) {
+  NetlistBuilder cycle("cycle");
+  const CellId a = cycle.add_primary_input("a");
+  const CellId g1 = cycle.add_gate("g1", 1, 1.0, 0.1);
+  const CellId g2 = cycle.add_gate("g2", 1, 1.0, 0.1);
+  const CellId z = cycle.add_primary_output("z");
+  cycle.connect_input(cycle.add_net("n0", a), g1);
+  cycle.connect_input(cycle.add_net("n1", g1), g2);
+  const NetId n2 = cycle.add_net("n2", g2);
+  cycle.connect_input(n2, g1);
+  cycle.connect_input(n2, z);
+  const BuildResult cyclic = std::move(cycle).try_build();
+  EXPECT_FALSE(cyclic.ok());
+  EXPECT_EQ(cyclic.error, "netlist contains a combinational cycle");
+
+  // Cells are checked before nets, so the PO's error wins over the
+  // dangling net's.
+  NetlistBuilder twice("twice");
+  const CellId b = twice.add_primary_input("b");
+  const CellId c = twice.add_primary_input("c");
+  const CellId d = twice.add_primary_input("d");
+  const CellId y = twice.add_primary_output("y");
+  twice.connect_input(twice.add_net("nb", b), y);
+  twice.connect_input(twice.add_net("nc", c), y);
+  twice.add_net("nd", d);
+  const BuildResult bad = std::move(twice).try_build();
+  EXPECT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error, "PO 'y' must sink exactly one net, sinks 2");
+}
+
 TEST(NetlistDeath, RejectsSelfLoop) {
   NetlistBuilder b("self");
   const CellId pi = b.add_primary_input("a");
@@ -175,34 +205,66 @@ TEST(NetlistDeath, RejectsSelfLoop) {
   EXPECT_DEATH(b.connect_input(n1, g), "self-loop");
 }
 
-/// FNV-1a 64 over the topological order (each id as 8 little-endian
-/// bytes) followed by the logic depth.
-std::uint64_t order_fnv(const Netlist& nl) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
+/// FNV-1a 64 over a sequence of values, each as 8 little-endian bytes.
+class Fnv {
+ public:
+  void mix(std::uint64_t v) {
     for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffu;
-      h *= 0x100000001b3ULL;
+      h_ ^= (v >> (8 * byte)) & 0xffu;
+      h_ *= 0x100000001b3ULL;
     }
-  };
-  for (const CellId id : nl.topological_order()) mix(id);
-  mix(nl.logic_depth());
-  return h;
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// The topological order followed by the logic depth.
+std::uint64_t order_fnv(const Netlist& nl) {
+  Fnv fnv;
+  for (const CellId id : nl.topological_order()) fnv.mix(id);
+  fnv.mix(nl.logic_depth());
+  return fnv.value();
+}
+
+/// Every cell's nets_of list in id order, each as its length and then its
+/// net ids.
+std::uint64_t nets_of_fnv(const Netlist& nl) {
+  Fnv fnv;
+  for (CellId cell = 0; cell < nl.num_cells(); ++cell) {
+    const auto nets = nl.nets_of(cell);
+    fnv.mix(nets.size());
+    for (const NetId net : nets) fnv.mix(net);
+  }
+  return fnv.value();
 }
 
 TEST(NetlistBuilder, TopologicalOrderAndDepthArePinned) {
   // The sort's LIFO frontier order is part of the contract (STA, paths and
-  // slack iterate it), so any change of order must show here first.
+  // slack iterate it), so any change of order must show here first. The
+  // adjacency is pinned beside it, as captured from the object-model build
+  // (per-cell and per-net vectors) before the CSR became the only
+  // adjacency: content_hash covers every net's driver and its sinks in
+  // order, and nets_of_fnv every cell's nets_of list (out net first,
+  // inputs deduplicated in first-seen order).
   const struct {
     const char* circuit;
     std::size_t depth;
     std::uint64_t fnv;
+    std::uint64_t content_hash;
+    std::uint64_t nets_of_fnv;
   } pins[] = {
-      {"highway", 14, 0xb0eb6edb26a7686bULL},
-      {"c532", 50, 0xba25c95acdcca7cfULL},
-      {"c1355", 165, 0xa74ebdefdc47f35cULL},
-      {"c3540", 247, 0x8d6a54a294cc44d2ULL},
-      {"scale10k", 316, 0x2465c4c519d21476ULL},
+      {"highway", 14, 0xb0eb6edb26a7686bULL, 0xe1ec88ab46e867ebULL,
+       0xd270e81c1b99962dULL},
+      {"c532", 50, 0xba25c95acdcca7cfULL, 0xcbfe07b7ab8cc5cfULL,
+       0xf38183ad9fec28d9ULL},
+      {"c1355", 165, 0xa74ebdefdc47f35cULL, 0x813c4bc3eadaba35ULL,
+       0xad0b777d091d0c9eULL},
+      {"c3540", 247, 0x8d6a54a294cc44d2ULL, 0x6d1b4098c1024072ULL,
+       0x14c4edc625e482dcULL},
+      {"scale10k", 316, 0x2465c4c519d21476ULL, 0x586f7eca82014d2aULL,
+       0xa33bd8c77d1e3dc3ULL},
   };
   for (const auto& pin : pins) {
     const Netlist nl = make_benchmark(pin.circuit);
@@ -210,6 +272,8 @@ TEST(NetlistBuilder, TopologicalOrderAndDepthArePinned) {
     EXPECT_EQ(order_fnv(nl), pin.fnv)
         << "{\"" << pin.circuit << "\", " << nl.logic_depth() << ", 0x"
         << std::hex << order_fnv(nl) << std::dec << "ULL},";
+    EXPECT_EQ(content_hash(nl), pin.content_hash) << pin.circuit;
+    EXPECT_EQ(nets_of_fnv(nl), pin.nets_of_fnv) << pin.circuit;
   }
 }
 
@@ -242,14 +306,17 @@ TEST_P(GeneratorProperty, StructuralInvariants) {
   EXPECT_EQ(pis, c.pis);
   EXPECT_GE(pos, c.pos);  // extra POs may absorb dangling nets
 
-  // Every net driven and sunk; gate fanin within bounds.
-  for (const auto& net : nl.nets()) {
-    EXPECT_NE(net.driver, kNoCell);
-    EXPECT_GE(net.sinks.size(), 1u);
+  // Every net driven and sunk; gate fanin within bounds. Fanin counts input
+  // pins from the sink side, so one net on two pins of a gate counts twice.
+  std::vector<std::size_t> input_pins(nl.num_cells(), 0);
+  for (NetId net = 0; net < nl.num_nets(); ++net) {
+    EXPECT_NE(nl.net(net).driver, kNoCell);
+    EXPECT_GE(nl.topology().sinks(net).size(), 1u);
+    for (CellId sink : nl.topology().sinks(net)) ++input_pins[sink];
   }
   for (CellId gate : nl.movable_cells()) {
-    EXPECT_GE(nl.cell(gate).in_nets.size(), 1u);
-    EXPECT_LE(nl.cell(gate).in_nets.size(), config.max_fanin);
+    EXPECT_GE(input_pins[gate], 1u);
+    EXPECT_LE(input_pins[gate], config.max_fanin);
     EXPECT_GE(nl.cell(gate).width, config.min_width);
     EXPECT_LE(nl.cell(gate).width, config.max_width);
   }

@@ -378,7 +378,7 @@ TEST(NetMarkerTest, DeduplicatesAcrossCells) {
 
   // The driver of a's output net and one of its sinks share that net.
   const netlist::NetId out = nl.cell(a).out_net;
-  const CellId sink = nl.net(out).sinks.front();
+  const CellId sink = nl.topology().sinks(out).front();
   marker.add_nets_of(nl, sink);
   marker.add_nets_of(nl, a);
   const auto nets = marker.nets();

@@ -194,13 +194,11 @@ TEST_P(ProbeEquivalence, PadConnectedNetsProbeExactly) {
   // Movable cells on nets that also touch a pad (PI driver or PO sink).
   std::vector<CellId> pad_adjacent;
   for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
-    const auto& n = nl.net(net);
-    bool has_pad = !nl.cell(n.driver).movable();
-    for (CellId sink : n.sinks) has_pad = has_pad || !nl.cell(sink).movable();
-    if (!has_pad) continue;
-    if (nl.cell(n.driver).movable()) pad_adjacent.push_back(n.driver);
-    for (CellId sink : n.sinks) {
-      if (nl.cell(sink).movable()) pad_adjacent.push_back(sink);
+    const auto pins = nl.topology().pins(net);
+    const auto is_pad = [&](CellId cell) { return !nl.cell(cell).movable(); };
+    if (std::none_of(pins.begin(), pins.end(), is_pad)) continue;
+    for (CellId cell : pins) {
+      if (!is_pad(cell)) pad_adjacent.push_back(cell);
     }
   }
   ASSERT_GE(pad_adjacent.size(), 2u) << "benchmark lost its pad-adjacent cells";

@@ -816,12 +816,12 @@ TEST_F(DaemonTest, OutOfRangeGoalParametersAreRejectedAndDaemonKeepsServing) {
   job.circuit = "highway";
   job.spec.engine = "tabu";
   job.spec.tabu.iterations = 30;
-  for (const double value : {0.0, 1.5}) {
+  for (const double value : {0.0, 1.0, 1.5}) {
     JobRequest bad = job;
     bad.spec.cost.target_improvement = value;
     EXPECT_FALSE(client.submit(bad, false, 0, &error).has_value()) << value;
     EXPECT_NE(error.find("invalid spec: cost.target_improvement must be in "
-                         "(0, 1]"),
+                         "(0, 1)"),
               std::string::npos)
         << error;
   }

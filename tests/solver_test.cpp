@@ -219,12 +219,12 @@ TEST(SolverValidate, RejectsOutOfRangeGoalParameters) {
   const auto& nl = experiments::circuit("highway");
   const Solver solver;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const double value : {0.0, -0.25, 1.5, nan}) {
+  for (const double value : {0.0, -0.25, 1.0, 1.5, nan}) {
     auto spec = experiments::base_spec(nl, "tabu", 1, true);
     spec.cost.target_improvement = value;
     const auto errors = solver.validate(spec);
     ASSERT_EQ(errors.size(), 1u) << value;
-    EXPECT_EQ(errors[0], "cost.target_improvement must be in (0, 1]");
+    EXPECT_EQ(errors[0], "cost.target_improvement must be in (0, 1)");
   }
   for (const double value : {1.0, -0.5, 1.5, nan}) {
     auto spec = experiments::base_spec(nl, "tabu", 1, true);
@@ -233,10 +233,11 @@ TEST(SolverValidate, RejectsOutOfRangeGoalParameters) {
     ASSERT_EQ(errors.size(), 1u) << value;
     EXPECT_EQ(errors[0], "cost.initial_membership must be in [0, 1)");
   }
-  // The closed ends of both ranges are valid and solve (a goal equal to the
-  // initial value gets the minimum tolerance, so the cost is far from 1).
+  // The closed end of initial_membership's range is valid and solves. A
+  // target_improvement of 1.0 is refused: a goal equal to the initial value
+  // pinned the tolerance at its 1e-9 floor, and a solve reported a cost
+  // near -3e7.
   auto spec = experiments::base_spec(nl, "tabu", 1, true);
-  spec.cost.target_improvement = 1.0;
   spec.cost.initial_membership = 0.0;
   spec.tabu.iterations = 5;
   EXPECT_TRUE(solver.validate(spec).empty());

@@ -334,6 +334,29 @@ TEST(Log, TagAndLevelAppearInOutput) {
   EXPECT_NE(err.find("[INFO] untagged line"), std::string::npos);
 }
 
+/// Streams as its value and counts how often it was formatted.
+struct CountedField {
+  int* formats;
+};
+std::ostream& operator<<(std::ostream& os, const CountedField& field) {
+  ++*field.formats;
+  return os << "field";
+}
+
+TEST(Log, FilteredLineFormatsNothing) {
+  const LogLevelGuard guard;
+  set_log_level(LogLevel::Warn);
+  int formats = 0;
+  ::testing::internal::CaptureStderr();
+  log_info("tag") << "dropped " << CountedField{&formats};
+  log_debug() << CountedField{&formats} << CountedField{&formats};
+  EXPECT_EQ(formats, 0);
+  log_warn("tag") << "kept " << CountedField{&formats};
+  EXPECT_EQ(formats, 1);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err, "[WARN] (tag) kept field\n");
+}
+
 TEST(Log, OffSilencesEverything) {
   const LogLevelGuard guard;
   set_log_level(LogLevel::Off);
