@@ -2,6 +2,7 @@
 
 #include "support/stopwatch.hpp"
 #include "tabu/candidate.hpp"
+#include "tabu/compound.hpp"
 
 namespace pts::baselines {
 
@@ -20,6 +21,10 @@ LocalSearchResult local_search(cost::Evaluator& eval,
   result.best_quality = eval.quality();
   result.best_slots = eval.placement().slots();
 
+  // Every candidate is drawn before probing — probes consume no RNG, so the
+  // draws are an interleaved sample/probe loop's.
+  std::vector<cost::Move> moves(params.candidates_per_iteration);
+  std::vector<double> costs(moves.size());
   const Stopwatch watch;
   std::size_t stale = 0;
   for (std::size_t iter = 0; iter < params.max_iterations; ++iter) {
@@ -30,20 +35,15 @@ LocalSearchResult local_search(cost::Evaluator& eval,
       break;
     }
     ++result.iterations;
-    tabu::Move best{};
-    double best_cost = current;
-    bool have = false;
-    for (std::size_t c = 0; c < params.candidates_per_iteration; ++c) {
-      const auto move = tabu::sample_move(movable, range, rng);
-      const double after = eval.probe_swap(move.a, move.b);
-      if (after < best_cost) {
-        best = move;
-        best_cost = after;
-        have = true;
-      }
+    for (cost::Move& move : moves) {
+      const tabu::Move m = tabu::sample_move(movable, range, rng);
+      move = {m.a, m.b};
     }
-    if (have) {
-      current = eval.commit_swap(best.a, best.b);
+    tabu::probe_trials(eval, moves, costs);
+    const std::size_t best = tabu::select_best(moves, costs, /*memory=*/nullptr,
+                                               /*use_memory=*/false);
+    if (costs[best] < current) {
+      current = eval.commit_swap(moves[best].a, moves[best].b);
       stale = 0;
       if (current < result.best_cost) {
         result.best_cost = current;

@@ -118,9 +118,7 @@ double Evaluator::commit_probe() {
 
 double Evaluator::commit_swap(CellId a, CellId b) {
   const ProbeScratch& s = scratch_;
-  const bool pending =
-      s.probe_valid_ && ((s.probe_a_ == a && s.probe_b_ == b) ||
-                         (s.probe_a_ == b && s.probe_b_ == a));
+  const bool pending = s.probe_valid_ && s.probe_a_ == a && s.probe_b_ == b;
   return pending ? commit_probe() : apply_swap(a, b);
 }
 

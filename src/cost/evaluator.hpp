@@ -185,14 +185,11 @@ class Evaluator {
   /// apply_swap()/reset_placement().
   double commit_probe();
 
-  /// Commits the winning swap of a trial loop: promotes the pending probe
-  /// when it is for this pair (either orientation — a swap is symmetric),
-  /// otherwise falls back to apply_swap(a, b). The promoted state is the
-  /// probed orientation's: a pending (b, a) leaves apply_swap(b, a)'s
-  /// state, whose path sums fold the same net changes in another order and
-  /// can sit an ulp away from apply_swap(a, b)'s. A loop that must land on
-  /// exactly apply_swap(winner) commits through commit_probe() only when
-  /// the winner is the pending candidate (tabu::commit_best_trial).
+  /// Commits the winning swap of a trial loop, leaving exactly
+  /// apply_swap(a, b)'s state: promotes the pending probe when it is (a, b)
+  /// in that orientation, otherwise applies (a, b). A pending (b, a) is
+  /// applied, not promoted: it folds the same net changes into the path
+  /// sums in another order, so its state can sit an ulp away.
   double commit_swap(netlist::CellId a, netlist::CellId b);
 
   /// Replaces the current solution (e.g. with a broadcast best) and fully

@@ -3,11 +3,33 @@
 #include "cost/setup.hpp"
 
 namespace pts::parallel {
+namespace {
+
+Rng derive_stream(std::uint64_t seed, std::uint64_t salt) {
+  SplitMix64 sm((seed ^ 0xa5a5'5a5a'1234'9876ULL) +
+                salt * 0x9e3779b97f4a7c15ULL);
+  return Rng(sm.next());
+}
+
+std::uint64_t stream_index(const PtsConfig& config, std::size_t tsw) {
+  return config.shared_tsw_streams ? 0 : tsw;
+}
+
+}  // namespace
 
 std::size_t clamp_workers(std::size_t requested, std::size_t cap) {
   if (cap < 1) cap = 1;
   if (requested < 1) return 1;
   return requested < cap ? requested : cap;
+}
+
+Rng tsw_stream(const PtsConfig& config, std::size_t tsw) {
+  return derive_stream(config.seed, 1000 + stream_index(config, tsw));
+}
+
+Rng clw_stream(const PtsConfig& config, std::size_t tsw, std::size_t clw) {
+  return derive_stream(config.seed,
+                       3000 + stream_index(config, tsw) * 64 + clw);
 }
 
 SearchSetup::SearchSetup(const netlist::Netlist& nl, const PtsConfig& cfg)

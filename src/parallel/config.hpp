@@ -9,6 +9,7 @@
 #include "parallel/policy.hpp"
 #include "pvm/machine.hpp"
 #include "support/fault.hpp"
+#include "support/rng.hpp"
 #include "support/run_control.hpp"
 #include "support/stats.hpp"
 #include "tabu/search.hpp"
@@ -89,8 +90,8 @@ struct PtsConfig {
   double threaded_seconds_per_unit = 0.0;
 
   /// Scripted TSW stall/death faults replayed by the sim engine (see
-  /// support/fault.hpp and SimEngine docs). Empty: the engine takes its
-  /// historical fault-free path, bit-identical to the goldens.
+  /// support/fault.hpp and SimEngine docs). Empty: no report deadline, so
+  /// no TSW is lost and runs are bit-identical to the goldens.
   fault::WorkerFaultScript faults;
 
   /// Convenience: set both collection policies at once.
@@ -133,6 +134,14 @@ struct PtsResult {
 /// parallel engine clamps its worker counts to the movable-cell count: more
 /// workers than cells cannot all do useful work.
 std::size_t clamp_workers(std::size_t requested, std::size_t cap);
+
+/// The algorithm streams of the TSW/CLW engines: TSW `tsw` samples from
+/// tsw_stream and its CLW `clw` from clw_stream. Each is a fork of
+/// config.seed salted by the worker's index (1000 + i, 3000 + 64·i + j),
+/// not a sequential draw, so a worker gets the same stream whatever the
+/// worker count. With shared_tsw_streams every TSW takes TSW 0's salts.
+Rng tsw_stream(const PtsConfig& config, std::size_t tsw);
+Rng clw_stream(const PtsConfig& config, std::size_t tsw, std::size_t clw);
 
 /// Immutable per-run setup shared by all workers of one search: layout,
 /// initial solution, monitored paths, calibrated goals, all taken from

@@ -45,10 +45,11 @@ std::size_t SharedCompoundStrategy::commit_best_trial(
         }
       });
 
-  // Sequential reduction with the sequential selection rule. The winner is
-  // applied: no pending probe of eval's describes it.
+  // Sequential reduction with the sequential selection rule, and the one
+  // commit rule. The probes stay pending in the worker scratches, not in
+  // eval's, so commit_swap applies the winner.
   const std::size_t best = tabu::select_best(moves, costs_, memory, use_memory);
-  *cost_out = eval.apply_swap(moves[best].a, moves[best].b);
+  *cost_out = eval.commit_swap(moves[best].a, moves[best].b);
   return best;
 }
 

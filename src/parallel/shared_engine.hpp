@@ -30,9 +30,9 @@
 //  3. The reduction runs on the coordinator in trial-index order with the
 //     sequential rule (tabu::select_best: first strict minimum wins) —
 //     reduction order is part of the API, exactly like summation order in
-//     the CSR layout (§7). The winner is committed with apply_swap, whose
-//     state equals the sequential loop's commit; the probes stay pending in
-//     the threads' scratches, which nothing promotes.
+//     the CSR layout (§7). The winner is committed through commit_swap,
+//     the sequential loop's commit, which applies it here: the probes stay
+//     pending in the threads' scratches, which nothing promotes.
 //
 // Thread count: a level is handed to the pool only when every thread gets
 // at least cost::kMinTrialsPerThread of its trials (two full probe
@@ -96,7 +96,7 @@ class SharedCompoundStrategy final : public tabu::CompoundStrategy {
   SharedCompoundStrategy(ThreadPool& pool, const cost::Evaluator& eval);
 
   /// One level: scores `moves` across the pool against `eval`'s committed
-  /// state, commits the tabu::select_best winner with apply_swap, and
+  /// state, commits the tabu::select_best winner through commit_swap, and
   /// returns its index; `*cost_out` receives the committed cost. The
   /// parallel counterpart of tabu::commit_best_trial — same winner, same
   /// committed state.

@@ -42,29 +42,15 @@ SimEngine::SimEngine(const netlist::Netlist& netlist, const PtsConfig& config)
   const auto clw_ranges =
       tabu::partition_cells(netlist.num_movable(), cfg.clws_per_tsw);
 
-  // Algorithm streams: with shared_tsw_streams every TSW (and its j-th
-  // CLW) derives from the same salt, so TSWs duplicate each other's search
-  // exactly unless diversification differentiates them (MPSS reading).
+  // Algorithm streams: tsw_stream / clw_stream, as in the threaded engine.
   // Timing jitter streams stay per-task — they model machine load, not
-  // algorithm randomness. Forks are salted deterministically (not drawn
-  // sequentially from `root`) so the same (i, j) worker gets the same
-  // stream regardless of how many workers exist.
-  auto derive_stream = [&](std::uint64_t salt) {
-    SplitMix64 sm((cfg.seed ^ 0xa5a5'5a5a'1234'9876ULL) +
-                  salt * 0x9e3779b97f4a7c15ULL);
-    return Rng(sm.next());
-  };
-  auto tsw_salt = [&](std::size_t i) -> std::uint64_t {
-    return cfg.shared_tsw_streams ? 0 : i;
-  };
-
+  // algorithm randomness.
   tsws_.resize(cfg.num_tsws);
   for (std::size_t i = 0; i < cfg.num_tsws; ++i) {
     SimTsw& tsw = tsws_[i];
     tsw.eval = setup_.make_evaluator(setup_.initial_slots);
-    tsw.state = std::make_unique<TswState>(
-        *tsw.eval, cfg.tabu, cfg.diversify, tsw_ranges[i],
-        derive_stream(1000 + tsw_salt(i)));
+    tsw.state = std::make_unique<TswState>(*tsw.eval, cfg.tabu, cfg.diversify,
+                                           tsw_ranges[i], tsw_stream(cfg, i));
     tsw.machine = machine_of(1 + i);
     tsw.base_speed = tsw.machine.speed;
     tsw.time_rng = root.fork(2000 + i);
@@ -72,7 +58,7 @@ SimEngine::SimEngine(const netlist::Netlist& netlist, const PtsConfig& config)
     for (std::size_t j = 0; j < cfg.clws_per_tsw; ++j) {
       tsw.clws.emplace_back(clw_ranges[j], cfg.tabu.compound);
       ClwSlot& clw = tsw.clws.back();
-      clw.algo_rng = derive_stream(3000 + tsw_salt(i) * 64 + j);
+      clw.algo_rng = clw_stream(cfg, i, j);
       clw.time_rng = root.fork(4000 + i * 64 + j);
       clw.machine = machine_of(1 + cfg.num_tsws + i * cfg.clws_per_tsw + j);
       clw.base_speed = clw.machine.speed;
@@ -86,20 +72,21 @@ void SimEngine::run_local_iteration(SimTsw& tsw) {
   const double start = tsw.clock + costs.message_latency;  // search request hop
 
   // Run every CLW to completion on the TSW's evaluator (sequentially; each
-  // restores the evaluator afterwards), recording per-step end offsets.
+  // restores the evaluator afterwards), recording per-trial end offsets.
   for (ClwSlot& clw : tsw.clws) {
     clw.search.begin(*tsw.eval, clw.algo_rng);
-    clw.step_end.clear();
+    clw.trial_end.clear();
     double t = 0.0;
     while (!clw.search.done()) {
       clw.search.step();
-      // Each trial is still charged the same `trial_work` virtual units it
-      // always was, even though step() now probes instead of mutate-and-
-      // undo (roughly half the real work). The paper's Figs. 5-11 are
-      // shaped by work/speed ratios in *virtual* time, so the probe
-      // refactor speeds up wall-clock without moving any reported curve.
-      t += clw.machine.time_for(costs.trial_work, clw.time_rng);
-      clw.step_end.push_back(t);
+      // A step runs a whole level, but each of its trials is charged its
+      // own jittered `trial_work` virtual units, as the paper's work/speed
+      // ratios (Figs. 5-11) require: probing instead of mutate-and-undo
+      // and batching a level speed up wall-clock, not virtual time.
+      while (clw.trial_end.size() < clw.search.steps_taken()) {
+        t += clw.machine.time_for(costs.trial_work, clw.time_rng);
+        clw.trial_end.push_back(t);
+      }
     }
     clw.search.abandon();
   }
@@ -107,7 +94,7 @@ void SimEngine::run_local_iteration(SimTsw& tsw) {
   // Finish instants and the collection policy.
   std::vector<double> finish(tsw.clws.size());
   for (std::size_t j = 0; j < tsw.clws.size(); ++j) {
-    finish[j] = start + tsw.clws[j].step_end.back();
+    finish[j] = start + tsw.clws[j].trial_end.back();
   }
   std::vector<double> sorted = finish;
   std::sort(sorted.begin(), sorted.end());
@@ -131,12 +118,12 @@ void SimEngine::run_local_iteration(SimTsw& tsw) {
       if (finish[j] <= cutoff) {
         candidates[j] = clw.search.result();
       } else {
-        // Trials completed strictly before the cutoff instant.
-        const auto done_steps = static_cast<std::size_t>(
-            std::upper_bound(clw.step_end.begin(), clw.step_end.end(),
+        // Trials completed by the cutoff instant.
+        const auto done_trials = static_cast<std::size_t>(
+            std::upper_bound(clw.trial_end.begin(), clw.trial_end.end(),
                              cutoff - start) -
-            clw.step_end.begin());
-        candidates[j] = clw.search.result_at_step(done_steps);
+            clw.trial_end.begin());
+        candidates[j] = clw.search.result_at_step(done_trials);
       }
     }
     iteration_end = cutoff + costs.message_latency;  // forced reports return
@@ -184,39 +171,39 @@ PtsResult SimEngine::run(const RunControl& control) {
   };
   if (const auto reason = stop_check(0, 0.0)) result.stop_reason = *reason;
 
-  // Scripted fault handling is gated on `faults_on` throughout: a run with
-  // an empty script executes exactly the historical statement sequence, so
-  // fault-free trajectories stay bit-identical to the goldens.
+  // Scripted faults: with an empty script nothing fires, every stall
+  // scale is 1 and the report deadline is +inf, so no TSW is declared lost
+  // and the collection policy alone shapes each collection.
   const fault::WorkerFaultScript& faults = cfg.faults;
-  const bool faults_on = faults.enabled();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double report_deadline =
+      faults.enabled() ? std::max(faults.report_deadline, 0.0) : inf;
 
   double broadcast_time = costs.message_latency;  // Init hop to the TSWs
   for (std::size_t g = 0; result.stop_reason == StopReason::Completed &&
                           g < cfg.global_iterations;
        ++g) {
-    if (faults_on) {
-      // Fire scripted faults and apply stall scaling for this iteration.
-      for (const auto& f : faults.faults) {
-        if (f.at_iteration != g || f.worker >= tsws_.size()) continue;
-        SimTsw& victim = tsws_[f.worker];
-        if (victim.dead_task) continue;
-        if (f.kind == fault::WorkerFault::Kind::Death) {
-          victim.dead_task = true;
-        } else {
-          victim.stall_left = f.stall_iterations;
-          victim.stall_factor = f.stall_factor < 1.0 ? 1.0 : f.stall_factor;
-        }
+    // Fire scripted faults and apply stall scaling for this iteration.
+    for (const auto& f : faults.faults) {
+      if (f.at_iteration != g || f.worker >= tsws_.size()) continue;
+      SimTsw& victim = tsws_[f.worker];
+      if (victim.dead_task) continue;
+      if (f.kind == fault::WorkerFault::Kind::Death) {
+        victim.dead_task = true;
+      } else {
+        victim.stall_left = f.stall_iterations;
+        victim.stall_factor = f.stall_factor < 1.0 ? 1.0 : f.stall_factor;
       }
-      for (SimTsw& tsw : tsws_) {
-        const double scale = tsw.stall_left > 0 ? tsw.stall_factor : 1.0;
-        tsw.machine.speed = tsw.base_speed / scale;
-        for (ClwSlot& clw : tsw.clws) clw.machine.speed = clw.base_speed / scale;
-      }
+    }
+    for (SimTsw& tsw : tsws_) {
+      const double scale = tsw.stall_left > 0 ? tsw.stall_factor : 1.0;
+      tsw.machine.speed = tsw.base_speed / scale;
+      for (ClwSlot& clw : tsw.clws) clw.machine.speed = clw.base_speed / scale;
     }
 
     // -- TSW phase (independent virtual timelines) ------------------------
     for (SimTsw& tsw : tsws_) {
-      if (faults_on && (tsw.lost || tsw.dead_task)) continue;
+      if (tsw.lost || tsw.dead_task) continue;
       tsw.clock = broadcast_time;
       if (g > 0) tsw.state->adopt(global_best_slots, global_best_tabu);
       tsw.state->begin_global_iteration();
@@ -231,134 +218,92 @@ PtsResult SimEngine::run(const RunControl& control) {
     }
 
     // -- master collection ------------------------------------------------
-    double collect_end;
-    if (!faults_on) {
-      std::vector<double> finish(tsws_.size());
-      for (std::size_t i = 0; i < tsws_.size(); ++i) {
-        finish[i] = tsws_[i].clock + costs.message_latency;  // report hop
-      }
-      std::vector<double> sorted = finish;
-      std::sort(sorted.begin(), sorted.end());
-      const std::size_t k = cfg.master_policy.reports_before_force(tsws_.size());
-      const double kth_arrival = sorted[k - 1];
-
-      for (std::size_t i = 0; i < tsws_.size(); ++i) {
-        SimTsw& tsw = tsws_[i];
-        tsw.was_cut = false;
-        if (k == tsws_.size() || finish[i] <= kth_arrival) {
-          tsw.report_time = finish[i];
-          tsw.report_cost = tsw.state->iteration_best_cost();
-          tsw.report_slots = tsw.state->iteration_best_slots();
-        } else {
-          // Straggler: forced at (kth arrival + force hop); it reports the
-          // best snapshot it had at that instant.
-          const double cutoff = kth_arrival + costs.message_latency;
-          tsw.was_cut = true;
-          tsw.report_time = cutoff + costs.message_latency;
-          if (const auto* snapshot = tsw.state->snapshot_at(cutoff)) {
-            tsw.report_cost = snapshot->cost;
-            tsw.report_slots = snapshot->slots;
-          } else {
-            tsw.report_cost = std::numeric_limits<double>::infinity();
-            tsw.report_slots.clear();
-          }
-        }
-      }
-      collect_end = 0.0;
-      for (const SimTsw& tsw : tsws_) {
-        collect_end = std::max(collect_end, tsw.report_time);
-      }
-      collect_end += master_machine.time_for(
-          costs.master_select_work * static_cast<double>(tsws_.size()),
-          master_time_rng);
-    } else {
-      // Fault-aware collection: only TSWs the master still believes in are
-      // expected to report; a report that would arrive past the deadline
-      // (earliest arrival + report_deadline) marks its TSW dead for good.
-      const double inf = std::numeric_limits<double>::infinity();
-      std::vector<std::size_t> live;
-      for (std::size_t i = 0; i < tsws_.size(); ++i) {
-        if (!tsws_[i].lost) live.push_back(i);
-      }
-      std::vector<double> finish(tsws_.size(), inf);
-      double min_finish = inf;
-      for (const std::size_t i : live) {
-        if (tsws_[i].dead_task) continue;
-        finish[i] = tsws_[i].clock + costs.message_latency;  // report hop
-        min_finish = std::min(min_finish, finish[i]);
-      }
-      const double deadline_base = min_finish == inf ? broadcast_time : min_finish;
-      const double deadline_instant =
-          deadline_base + std::max(faults.report_deadline, 0.0);
-      bool lost_this_round = false;
-      {
-        std::vector<std::size_t> survivors;
-        for (const std::size_t i : live) {
-          if (finish[i] > deadline_instant) {
-            tsws_[i].lost = true;
-            tsws_[i].dead_task = true;  // stop simulating an abandoned task
-            ++result.workers_lost;
-            lost_this_round = true;
-          } else {
-            survivors.push_back(i);
-          }
-        }
-        live.swap(survivors);
-      }
-      if (live.empty()) {
-        // Every worker is gone; the search ends with the best known so far.
-        result.best_vs_global.add(static_cast<double>(g), global_best_cost);
-        result.makespan = deadline_instant;
-        break;
-      }
-      if (lost_this_round) {
-        // Redistribute the movable cells among the survivors so the whole
-        // space stays covered by diversification.
-        const auto ranges = tabu::partition_cells(
-            setup_.netlist->num_movable(), live.size());
-        for (std::size_t idx = 0; idx < live.size(); ++idx) {
-          tsws_[live[idx]].state->set_diversify_range(ranges[idx]);
-        }
-      }
-
-      std::vector<double> sorted;
-      sorted.reserve(live.size());
-      for (const std::size_t i : live) sorted.push_back(finish[i]);
-      std::sort(sorted.begin(), sorted.end());
-      const std::size_t k = cfg.master_policy.reports_before_force(live.size());
-      const double kth_arrival = sorted[k - 1];
-
-      for (const std::size_t i : live) {
-        SimTsw& tsw = tsws_[i];
-        tsw.was_cut = false;
-        if (k == live.size() || finish[i] <= kth_arrival) {
-          tsw.report_time = finish[i];
-          tsw.report_cost = tsw.state->iteration_best_cost();
-          tsw.report_slots = tsw.state->iteration_best_slots();
-        } else {
-          const double cutoff = kth_arrival + costs.message_latency;
-          tsw.was_cut = true;
-          tsw.report_time = cutoff + costs.message_latency;
-          if (const auto* snapshot = tsw.state->snapshot_at(cutoff)) {
-            tsw.report_cost = snapshot->cost;
-            tsw.report_slots = snapshot->slots;
-          } else {
-            tsw.report_cost = inf;
-            tsw.report_slots.clear();
-          }
-        }
-      }
-      collect_end = 0.0;
-      for (const std::size_t i : live) {
-        collect_end = std::max(collect_end, tsws_[i].report_time);
-      }
-      // Declaring a death costs real waiting: the master sat out the full
-      // deadline before giving up on the missing report.
-      if (lost_this_round) collect_end = std::max(collect_end, deadline_instant);
-      collect_end += master_machine.time_for(
-          costs.master_select_work * static_cast<double>(live.size()),
-          master_time_rng);
+    // Only TSWs the master still believes in are expected to report; a
+    // report that would arrive past the deadline (earliest arrival +
+    // report_deadline) marks its TSW dead for good.
+    std::vector<std::size_t> live;
+    for (std::size_t i = 0; i < tsws_.size(); ++i) {
+      if (!tsws_[i].lost) live.push_back(i);
     }
+    std::vector<double> finish(tsws_.size(), inf);
+    double min_finish = inf;
+    for (const std::size_t i : live) {
+      if (tsws_[i].dead_task) continue;
+      finish[i] = tsws_[i].clock + costs.message_latency;  // report hop
+      min_finish = std::min(min_finish, finish[i]);
+    }
+    const double deadline_instant =
+        (min_finish == inf ? broadcast_time : min_finish) + report_deadline;
+    bool lost_this_round = false;
+    {
+      std::vector<std::size_t> survivors;
+      for (const std::size_t i : live) {
+        if (finish[i] > deadline_instant) {
+          tsws_[i].lost = true;
+          tsws_[i].dead_task = true;  // stop simulating an abandoned task
+          ++result.workers_lost;
+          lost_this_round = true;
+        } else {
+          survivors.push_back(i);
+        }
+      }
+      live.swap(survivors);
+    }
+    if (live.empty()) {
+      // Every worker is gone; the search ends with the best known so far.
+      result.best_vs_global.add(static_cast<double>(g), global_best_cost);
+      result.makespan = deadline_instant;
+      break;
+    }
+    if (lost_this_round) {
+      // Redistribute the movable cells among the survivors so the whole
+      // space stays covered by diversification.
+      const auto ranges = tabu::partition_cells(
+          setup_.netlist->num_movable(), live.size());
+      for (std::size_t idx = 0; idx < live.size(); ++idx) {
+        tsws_[live[idx]].state->set_diversify_range(ranges[idx]);
+      }
+    }
+
+    std::vector<double> sorted;
+    sorted.reserve(live.size());
+    for (const std::size_t i : live) sorted.push_back(finish[i]);
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t k = cfg.master_policy.reports_before_force(live.size());
+    const double kth_arrival = sorted[k - 1];
+
+    for (const std::size_t i : live) {
+      SimTsw& tsw = tsws_[i];
+      tsw.was_cut = false;
+      if (k == live.size() || finish[i] <= kth_arrival) {
+        tsw.report_time = finish[i];
+        tsw.report_cost = tsw.state->iteration_best_cost();
+        tsw.report_slots = tsw.state->iteration_best_slots();
+      } else {
+        // Straggler: forced at (kth arrival + force hop); it reports the
+        // best snapshot it had at that instant.
+        const double cutoff = kth_arrival + costs.message_latency;
+        tsw.was_cut = true;
+        tsw.report_time = cutoff + costs.message_latency;
+        if (const auto* snapshot = tsw.state->snapshot_at(cutoff)) {
+          tsw.report_cost = snapshot->cost;
+          tsw.report_slots = snapshot->slots;
+        } else {
+          tsw.report_cost = inf;
+          tsw.report_slots.clear();
+        }
+      }
+    }
+    double collect_end = 0.0;
+    for (const std::size_t i : live) {
+      collect_end = std::max(collect_end, tsws_[i].report_time);
+    }
+    // Declaring a death costs real waiting: the master sat out the full
+    // deadline before giving up on the missing report.
+    if (lost_this_round) collect_end = std::max(collect_end, deadline_instant);
+    collect_end += master_machine.time_for(
+        costs.master_select_work * static_cast<double>(live.size()),
+        master_time_rng);
 
     // -- selection + trajectory -------------------------------------------
     int winner = -1;

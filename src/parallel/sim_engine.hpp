@@ -7,7 +7,8 @@
 // machine the task is bound to; the half-force policy cuts stragglers at
 // the exact virtual instant the threshold report count is reached, and a
 // cut CLW reports the best compound prefix it had completed *by that
-// instant* (ClwSearch records per-step prefix snapshots for this).
+// instant* (ClwSearch records per-level prefix snapshots, stamped with the
+// trial count, for this).
 //
 // This is the engine behind every figure bench: on a one-core host, real
 // threads cannot exhibit parallel speedup, but the paper's speedup and
@@ -27,9 +28,10 @@
 // `faults.report_deadline` virtual seconds after the earliest arrival dead,
 // removes it permanently, and re-partitions the movable cells among the
 // survivors (their diversification ranges), so the search completes on the
-// remaining workers. The recovery is fully deterministic given the script;
-// an empty script leaves the engine on its historical code path, so
-// fault-free trajectories are bit-identical to the goldens.
+// remaining workers. The recovery is fully deterministic given the script.
+// An empty script runs the same collection with the deadline at +inf, so
+// no TSW is ever lost and fault-free trajectories are bit-identical to the
+// goldens.
 //
 // Simulation fidelity notes (documented deviations, none affect reported
 // results):
@@ -63,11 +65,11 @@ class SimEngine {
  private:
   struct ClwSlot {
     ClwSearch search;
-    Rng algo_rng;                  ///< candidate sampling
-    Rng time_rng;                  ///< machine load jitter
-    pvm::MachineProfile machine;   ///< effective profile (contention-scaled)
-    double base_speed = 1.0;       ///< machine.speed before stall scaling
-    std::vector<double> step_end;  ///< per-step completion offsets
+    Rng algo_rng;                   ///< candidate sampling
+    Rng time_rng;                   ///< machine load jitter
+    pvm::MachineProfile machine;    ///< effective profile (contention-scaled)
+    double base_speed = 1.0;        ///< machine.speed before stall scaling
+    std::vector<double> trial_end;  ///< per-trial completion offsets
     ClwSlot(tabu::CellRange range, const tabu::CompoundParams& params)
         : search(range, params), algo_rng(0), time_rng(0) {}
   };

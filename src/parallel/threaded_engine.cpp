@@ -20,14 +20,6 @@ using tabu::CompoundMove;
 
 namespace {
 
-/// Pure stream derivation shared with the SimEngine: identical salts give
-/// identical algorithm streams (see PtsConfig::shared_tsw_streams).
-Rng derive_stream(std::uint64_t seed, std::uint64_t salt) {
-  SplitMix64 sm((seed ^ 0xa5a5'5a5a'1234'9876ULL) +
-                salt * 0x9e3779b97f4a7c15ULL);
-  return Rng(sm.next());
-}
-
 /// Candidate-list worker task body (paper Figure 4).
 void clw_main(TaskContext& ctx, const SearchSetup& setup, tabu::CellRange range,
               Rng algo_rng) {
@@ -36,6 +28,11 @@ void clw_main(TaskContext& ctx, const SearchSetup& setup, tabu::CellRange range,
   const TaskId parent = init->sender();
   auto eval = setup.make_evaluator(decode_init(*init));
   ClwSearch search(range, setup.config.tabu.compound);
+  // A step is one compound level of `width` trials, and a force is
+  // answered between levels (a cut keeps only whole levels anyway).
+  const double level_work =
+      setup.config.sim.trial_work *
+      static_cast<double>(setup.config.tabu.compound.width);
 
   for (;;) {
     auto msg = ctx.recv();
@@ -57,7 +54,7 @@ void clw_main(TaskContext& ctx, const SearchSetup& setup, tabu::CellRange range,
     bool cut = false;
     while (!search.done()) {
       search.step();
-      ctx.charge(setup.config.sim.trial_work);
+      ctx.charge(level_work);
       if (ctx.probe(kTagForceReport)) {
         auto force = ctx.try_recv(kTagForceReport);
         if (force && decode_force(*force) == req.local_seq) {
@@ -88,10 +85,8 @@ void tsw_main(TaskContext& ctx, const SearchSetup& setup, std::size_t tsw_index,
   if (!init) return;
   const TaskId master = init->sender();
   auto eval = setup.make_evaluator(decode_init(*init));
-  const std::uint64_t stream_index =
-      cfg.shared_tsw_streams ? 0 : static_cast<std::uint64_t>(tsw_index);
   TswState state(*eval, cfg.tabu, cfg.diversify, diversify_range,
-                 derive_stream(cfg.seed, 1000 + stream_index));
+                 tsw_stream(cfg, tsw_index));
 
   // Spawn this TSW's candidate-list workers (paper: the lower, 1-control
   // parallelization level) and send them the initial solution.
@@ -101,7 +96,7 @@ void tsw_main(TaskContext& ctx, const SearchSetup& setup, std::size_t tsw_index,
   for (std::size_t j = 0; j < cfg.clws_per_tsw; ++j) {
     const std::string name =
         "clw" + std::to_string(tsw_index) + "." + std::to_string(j);
-    Rng algo_rng = derive_stream(cfg.seed, 3000 + stream_index * 64 + j);
+    Rng algo_rng = clw_stream(cfg, tsw_index, j);
     clws[j] = ctx.vm().spawn(
         name, [&setup, range = clw_ranges[j], algo_rng](TaskContext& clw_ctx) {
           clw_main(clw_ctx, setup, range, algo_rng);

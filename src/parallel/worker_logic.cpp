@@ -20,9 +20,6 @@ void ClwSearch::begin(cost::Evaluator& eval, Rng& rng) {
   start_cost_ = eval.cost();
   current_cost_ = start_cost_;
   steps_ = 0;
-  level_ = 0;
-  trial_in_level_ = 0;
-  have_level_best_ = false;
   applied_.clear();
   improved_early_ = false;
   done_ = false;
@@ -34,35 +31,20 @@ void ClwSearch::step() {
   PTS_CHECK(!done_);
   PTS_CHECK(eval_ != nullptr && rng_ != nullptr);
 
-  // One trial: sample and probe (no mutate-and-undo; the probe leaves the
-  // evaluator untouched, so a trial costs one incremental pass).
-  const Move move = tabu::sample_move(movable_, range_, *rng_);
-  const double cost_after = eval_->probe_swap(move.a, move.b);
-  if (!have_level_best_ || cost_after < level_best_cost_) {
-    level_best_ = move;
-    level_best_cost_ = cost_after;
-    have_level_best_ = true;
-  }
-  ++steps_;
-  ++trial_in_level_;
-
-  if (trial_in_level_ < params_.width) return;
-
-  // Level complete: promote the level's best swap permanently (reusing the
-  // pending probe when the winner was the trial probed last).
-  current_cost_ = eval_->commit_swap(level_best_.a, level_best_.b);
-  applied_.push_back(level_best_);
+  // One level, as the sequential search builds it; the best swap is kept
+  // even when it degrades the cost.
+  applied_.push_back(tabu::commit_best_of_trials(
+      *eval_, movable_, range_, params_.width, *rng_, /*memory=*/nullptr,
+      /*use_memory=*/false, &current_cost_));
+  steps_ += params_.width;
   if (best_prefixes_.empty() || current_cost_ < best_prefixes_.back().cost) {
     best_prefixes_.push_back({steps_, applied_.size(), current_cost_});
   }
-  ++level_;
-  trial_in_level_ = 0;
-  have_level_best_ = false;
 
   if (current_cost_ < start_cost_ && params_.early_accept) {
     improved_early_ = true;
     done_ = true;
-  } else if (level_ >= params_.depth) {
+  } else if (applied_.size() >= params_.depth) {
     done_ = true;
   }
 }

@@ -5,9 +5,10 @@
 // so the *same* algorithm runs under both engines:
 //
 //  - the ThreadedEngine drives them from blocking mailbox loops on real
-//    threads (checking for ForceReport between steps);
+//    threads, charging width trials per CLW step and checking for
+//    ForceReport between steps (compound levels);
 //  - the SimEngine drives them from a discrete-event scheduler, charging
-//    each step to a machine profile in virtual time and cutting stragglers
+//    each trial to a machine profile in virtual time and cutting stragglers
 //    at the exact virtual cutoff instant.
 //
 // See DESIGN.md §5.
@@ -26,7 +27,8 @@
 
 namespace pts::parallel {
 
-/// One candidate-list investigation, steppable one trial at a time.
+/// One candidate-list investigation, steppable one compound level at a
+/// time.
 ///
 /// Usage per local iteration:
 ///   clw.begin(eval, rng);
@@ -34,11 +36,12 @@ namespace pts::parallel {
 ///   CompoundMove r = clw.result();   // full if done, best prefix if cut
 ///   clw.abandon();                   // restore eval to the start solution
 ///
-/// One step = one trial swap, scored with Evaluator::probe_swap (a single
-/// incremental pass; the evaluator is untouched). When the last trial of a
-/// level completes, the level's best swap is committed as part of the same
-/// step (compound move construction, paper §3). Early accept fires as soon
-/// as a committed level improves on the start cost.
+/// One step = one level of the compound move (paper §3), run by
+/// tabu::commit_best_of_trials exactly as the sequential search runs one:
+/// `width` trials sampled, probed in batches and the best committed.
+/// Progress is counted in trials, so an engine can time each trial and
+/// cut at any trial count (result_at_step). Early accept fires as soon as
+/// a committed level improves on the start cost.
 class ClwSearch {
  public:
   ClwSearch(tabu::CellRange range, tabu::CompoundParams params);
@@ -49,12 +52,12 @@ class ClwSearch {
   void begin(cost::Evaluator& eval, Rng& rng);
 
   bool done() const { return done_; }
-  /// Trials executed so far in this investigation.
+  /// Trials executed so far in this investigation (width per step).
   std::size_t steps_taken() const { return steps_; }
-  /// Upper bound on steps for a full investigation (width * depth).
+  /// Upper bound on trials for a full investigation (width * depth).
   std::size_t max_steps() const { return params_.width * params_.depth; }
 
-  /// Executes one trial. Must not be called when done().
+  /// Executes one level. Must not be called when done().
   void step();
 
   /// Best compound prefix discovered so far: the applied-swap prefix with
@@ -64,8 +67,8 @@ class ClwSearch {
   /// move is the unit of acceptance; prefixes are only for forced cuts.
   tabu::CompoundMove result() const;
 
-  /// Best prefix as of `steps` trials completed (sim cut support;
-  /// `steps` <= steps_taken()).
+  /// Best prefix as of `steps` trials completed: only levels whose last
+  /// trial is among them count (sim cut support; `steps` <= steps_taken()).
   tabu::CompoundMove result_at_step(std::size_t steps) const;
 
   double start_cost() const { return start_cost_; }
@@ -78,7 +81,7 @@ class ClwSearch {
 
  private:
   struct PrefixSnapshot {
-    std::size_t step;  ///< steps completed when this prefix became best
+    std::size_t step;  ///< trials completed when this prefix became best
     std::size_t len;   ///< number of applied swaps in the prefix
     double cost;
   };
@@ -88,17 +91,12 @@ class ClwSearch {
 
   cost::Evaluator* eval_ = nullptr;
   Rng* rng_ = nullptr;
-  /// Movable-cell table hoisted at begin(): step() samples one trial from
+  /// Movable-cell table hoisted at begin(): step() samples its trials from
   /// it without re-resolving the evaluator->placement->netlist chain.
   std::span<const netlist::CellId> movable_;
   double start_cost_ = 0.0;
   std::size_t steps_ = 0;
-  std::size_t level_ = 0;
-  std::size_t trial_in_level_ = 0;
-  tabu::Move level_best_{};
-  double level_best_cost_ = 0.0;
-  bool have_level_best_ = false;
-  std::vector<tabu::Move> applied_;
+  std::vector<tabu::Move> applied_;  ///< one committed swap per level
   double current_cost_ = 0.0;
   bool improved_early_ = false;
   bool done_ = true;

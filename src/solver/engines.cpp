@@ -72,14 +72,35 @@ void map_pts_result(SolveResult& out, parallel::PtsResult&& r) {
   out.stop_reason = r.stop_reason;
 }
 
+/// The most trials one level or local-search iteration may sample, and the
+/// most levels one compound move or diversification step may build. A
+/// level's buffers hold `width` moves and costs (16 B a trial) and the
+/// compound and diversify buffers reserve `depth`, so a value from the wire
+/// far past any real search is an allocation that fails on a session
+/// thread. The widest level in the tree is about a thousand trials.
+constexpr std::size_t kMaxTrials = std::size_t{1} << 20;
+
+void validate_at_most_max_trials(std::size_t value, const char* name,
+                                 std::vector<std::string>& errors) {
+  if (value > kMaxTrials) {
+    errors.push_back(std::string(name) + " must be <= " +
+                     std::to_string(kMaxTrials));
+  }
+}
+
 void validate_tabu_params(const tabu::TabuParams& params,
                           std::vector<std::string>& errors) {
+  if (params.tenure < 1) errors.push_back("tabu.tenure must be >= 1");
   if (params.compound.width < 1) {
     errors.push_back("tabu.compound.width must be >= 1");
   }
   if (params.compound.depth < 1) {
     errors.push_back("tabu.compound.depth must be >= 1");
   }
+  validate_at_most_max_trials(params.compound.width, "tabu.compound.width",
+                              errors);
+  validate_at_most_max_trials(params.compound.depth, "tabu.compound.depth",
+                              errors);
 }
 
 void validate_parallel(const SolveSpec& spec, std::vector<std::string>& errors);
@@ -184,6 +205,8 @@ class LocalSearchEngine final : public Engine {
     if (p.candidates_per_iteration < 1) {
       errors.push_back("local.candidates_per_iteration must be >= 1");
     }
+    validate_at_most_max_trials(p.candidates_per_iteration,
+                                "local.candidates_per_iteration", errors);
     if (p.patience < 1) errors.push_back("local.patience must be >= 1");
     if (p.max_iterations < 1) {
       errors.push_back("local.max_iterations must be >= 1");
@@ -365,6 +388,13 @@ void validate_parallel(const SolveSpec& spec,
   if (p.cluster.size() < 1) {
     errors.push_back("parallel.cluster must have at least one machine");
   }
+  if (p.diversify.enabled && p.diversify.width < 1) {
+    errors.push_back("parallel.diversify.width must be >= 1");
+  }
+  validate_at_most_max_trials(p.diversify.width, "parallel.diversify.width",
+                              errors);
+  validate_at_most_max_trials(p.diversify.depth, "parallel.diversify.depth",
+                              errors);
   for (const auto& [label, policy] :
        {std::pair{"master_policy", p.master_policy},
         std::pair{"tsw_policy", p.tsw_policy}}) {

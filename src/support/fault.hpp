@@ -24,7 +24,7 @@
 //    parallel::PtsConfig::faults): kills or slows a TSW at a scripted global
 //    iteration. This family is not random — it replays exactly, which is
 //    what makes the sim engine's recovery path deterministic and testable.
-//    An empty script leaves the engine on its historical code path, so
+//    An empty script sets no report deadline, so no TSW is ever lost and
 //    fault-free trajectories stay bit-identical to the goldens.
 //
 // Install a plan process-globally with install() (tests use

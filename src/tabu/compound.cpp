@@ -39,20 +39,24 @@ std::size_t select_best(std::span<const cost::Move> moves,
   return best;
 }
 
+void probe_trials(cost::Evaluator& eval, std::span<const cost::Move> moves,
+                  std::span<double> costs) {
+  PTS_DCHECK(costs.size() == moves.size());
+  for (std::size_t i = 0; i < moves.size(); i += cost::kProbeBatchWidth) {
+    const std::size_t n = std::min(cost::kProbeBatchWidth, moves.size() - i);
+    eval.probe_batch(moves.subspan(i, n), costs.subspan(i, n));
+  }
+}
+
 std::size_t commit_best_trial(cost::Evaluator& eval,
                               std::span<const cost::Move> moves,
                               const FrequencyMemory* memory, bool use_memory,
                               double* cost_out) {
   std::vector<double>& costs = trial_scratch().costs;
   costs.resize(moves.size());
-  for (std::size_t i = 0; i < moves.size(); i += cost::kProbeBatchWidth) {
-    const std::size_t n = std::min(cost::kProbeBatchWidth, moves.size() - i);
-    eval.probe_batch(moves.subspan(i, n), std::span(costs).subspan(i, n));
-  }
+  probe_trials(eval, moves, costs);
   const std::size_t best = select_best(moves, costs, memory, use_memory);
-  *cost_out = best + 1 == moves.size()
-                  ? eval.commit_probe()
-                  : eval.apply_swap(moves[best].a, moves[best].b);
+  *cost_out = eval.commit_swap(moves[best].a, moves[best].b);
   return best;
 }
 

@@ -35,14 +35,15 @@ std::size_t select_best(std::span<const cost::Move> moves,
                         std::span<const double> costs,
                         const FrequencyMemory* memory, bool use_memory);
 
-/// Scores `moves` through Evaluator::probe_batch in chunks of
-/// cost::kProbeBatchWidth, commits the select_best winner and returns its
-/// index; `*cost_out` receives the committed cost. The committed state is
-/// exactly apply_swap(winner)'s: the pending probe is promoted only when
-/// the winner is the last candidate. A reversed duplicate of an earlier
-/// winner may be the one pending, and it folds the same net changes in
-/// another order (the path sums can land an ulp away), so that winner is
-/// applied instead.
+/// Scores `moves` into `costs` through Evaluator::probe_batch in chunks of
+/// cost::kProbeBatchWidth — the trial loop of every best-of-N level. The
+/// costs do not depend on the chunking; the last move stays pending.
+void probe_trials(cost::Evaluator& eval, std::span<const cost::Move> moves,
+                  std::span<double> costs);
+
+/// Scores `moves` (probe_trials), commits the select_best winner through
+/// Evaluator::commit_swap and returns its index; `*cost_out` receives the
+/// committed cost. The committed state is exactly apply_swap(winner)'s.
 std::size_t commit_best_trial(cost::Evaluator& eval,
                               std::span<const cost::Move> moves,
                               const FrequencyMemory* memory, bool use_memory,
@@ -68,9 +69,10 @@ class CompoundStrategy {
 
 /// Samples `width` trial pairs from (movable, range, rng) and commits the
 /// best through `strategy` (commit_best_trial when null); returns the
-/// committed swap and writes its cost to `*cost_out`. Shared by the
-/// compound and diversification trial loops; uses thread_local scratch, so
-/// steady state does not allocate.
+/// committed swap and writes its cost to `*cost_out`. One level of every
+/// compound move (the sequential search's and the CLW's) and every
+/// diversification move; uses thread_local scratch, so steady state does
+/// not allocate.
 Move commit_best_of_trials(cost::Evaluator& eval,
                            std::span<const netlist::CellId> movable,
                            const CellRange& range, std::size_t width, Rng& rng,

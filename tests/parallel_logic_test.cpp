@@ -123,6 +123,35 @@ TEST(ClwSearchTest, StepCountBounds) {
   }
 }
 
+// A CLW investigation is the sequential search's compound move: the same
+// draws, the same level winners, the same committed costs bit for bit.
+TEST(ClwSearchTest, BuildsTheSequentialCompoundMove) {
+  const Netlist nl = circuit();
+  const Layout layout(nl);
+  auto clw_eval = make_eval(nl, layout, 7);
+  auto seq_eval = make_eval(nl, layout, 7);
+  tabu::CompoundParams params;
+  params.width = 6;
+  params.depth = 4;
+  const tabu::CellRange range{3, nl.num_movable() - 2};
+  ClwSearch search(range, params);
+  Rng clw_rng(21);
+  Rng seq_rng(21);
+  for (int i = 0; i < 10; ++i) {
+    search.begin(*clw_eval, clw_rng);
+    while (!search.done()) search.step();
+    const auto clw = search.result();
+    const auto seq =
+        tabu::build_compound_move(*seq_eval, range, params, seq_rng);
+    EXPECT_EQ(clw.swaps, seq.swaps) << "investigation " << i;
+    EXPECT_EQ(clw.cost, seq.cost) << "investigation " << i;
+    EXPECT_EQ(clw.improved_early, seq.improved_early);
+    search.abandon();
+    tabu::undo_compound(*seq_eval, seq);
+  }
+  EXPECT_EQ(clw_eval->checkpoint().wire_sums, seq_eval->checkpoint().wire_sums);
+}
+
 TEST(ClwSearchTest, AbandonRestoresEvaluator) {
   const Netlist nl = circuit();
   const Layout layout(nl);

@@ -141,9 +141,10 @@ TEST_P(ProbeEquivalence, CommitProbeMatchesApplyInLockstep) {
   EXPECT_EQ(committing->swaps_applied(), applying->swaps_applied());
 }
 
-// commit_swap must promote the pending probe in either orientation and fall
-// back to a plain apply when the winner is not the pair probed last — all
-// three paths bit-identical to a lockstep twin that only uses apply_swap.
+// commit_swap must promote the pending probe when it is exactly (a, b) and
+// fall back to a plain apply otherwise — for a reversed pending pair too —
+// all three paths bit-identical to a lockstep twin that only uses
+// apply_swap(a, b).
 TEST(ProbeEquivalenceCommitSwap, PromotesPendingProbeOrApplies) {
   const Netlist nl = netlist::make_benchmark("c532");
   const Layout layout(nl);
@@ -164,11 +165,11 @@ TEST(ProbeEquivalenceCommitSwap, PromotesPendingProbeOrApplies) {
       via_commit_swap = committing->commit_swap(a, b);
       via_apply = applying->apply_swap(a, b);
     } else if (i % 3 == 1) {
-      // Reversed orientation still promotes the pending probe; the state it
-      // produces is the probed orientation's, so the twin applies (b, a).
+      // A reversed pending probe is not promoted: (b, a) folds the same net
+      // changes in another order, so commit_swap applies (a, b) itself.
       committing->probe_swap(b, a);
       via_commit_swap = committing->commit_swap(a, b);
-      via_apply = applying->apply_swap(b, a);
+      via_apply = applying->apply_swap(a, b);
     } else {
       const auto [ic, id] = rng.distinct_pair(movable.size());
       committing->probe_swap(movable[ic], movable[id]);  // losing trial

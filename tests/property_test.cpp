@@ -433,24 +433,26 @@ TEST(PropertyFuzz, ProbeBatchMatchesApplyBitForBit) {
 // A batch of one pair followed by its reversed duplicate, repeated. Both
 // orientations usually score the same, so the pair wins the
 // first-strict-min tie while a reversed probe is the pending one — on the
-// sequential loop's evaluator, and in the parallel-shared threads'
-// scratches whichever chunks they claimed. Both loops must still land on
-// apply_swap(winner) exactly. The two orientations fold the same net
-// changes into the path sums in different orders, so promoting the pending
-// probe would leave the sums an ulp off wherever that order matters. Pairs
-// are drawn from cells on monitored paths, where it most often does, and
-// the test asserts that it met such a pair.
+// sequential loop's evaluator, on an evaluator that commits the winner
+// through Evaluator::commit_swap directly, and in the parallel-shared
+// threads' scratches whichever chunks they claimed. All three must still
+// land on apply_swap(winner) exactly. The two orientations fold the same
+// net changes into the path sums in different orders, so promoting the
+// pending probe would leave the sums an ulp off wherever that order
+// matters. Pairs are drawn from cells on monitored paths, where it most
+// often does, and the test asserts that it met such a pair.
 TEST(PropertyFuzz, ReversedDuplicateWinnerIsAppliedNotPromoted) {
   std::size_t order_sensitive = 0;
   for (const GeneratorConfig& config : fuzz_configs()) {
     SCOPED_TRACE(config.name + " gates=" + std::to_string(config.num_gates));
     const Netlist nl = netlist::generate_circuit(config);
     const placement::Layout layout(nl);
-    // One solution under four evaluators: the sequential loop's, the
-    // parallel-shared coordinator probed by one thread and by three, and an
-    // apply-only twin.
+    // One solution under five evaluators: the sequential loop's, one
+    // committed through commit_swap, the parallel-shared coordinator probed
+    // by one thread and by three, and an apply-only twin.
     const std::uint64_t seed = config.seed ^ 0x2E5EULL;
     auto sequential = make_eval(nl, layout, seed);
+    auto swapping = make_eval(nl, layout, seed);
     auto applying = make_eval(nl, layout, seed);
     auto shared_one_eval = make_eval(nl, layout, seed);
     auto shared_three_eval = make_eval(nl, layout, seed);
@@ -479,6 +481,7 @@ TEST(PropertyFuzz, ReversedDuplicateWinnerIsAppliedNotPromoted) {
 
     Rng rng(config.seed ^ 0x5E5EULL);
     std::vector<cost::Move> batch;
+    std::vector<double> costs;
     for (int round = 0; round < 24; ++round) {
       const auto [ia, ib] = rng.distinct_pair(cells.size());
       const CellId a = cells[ia];
@@ -505,6 +508,18 @@ TEST(PropertyFuzz, ReversedDuplicateWinnerIsAppliedNotPromoted) {
       ASSERT_EQ(sequential->hpwl().total(), applying->hpwl().total());
       ASSERT_TRUE(sequential->placement() == applying->placement());
       ASSERT_EQ(sequential->checkpoint().wire_sums, sums) << "round " << round;
+
+      costs.assign(batch.size(), 0.0);
+      swapping->probe_batch(batch, costs);
+      ASSERT_EQ(tabu::select_best(batch, costs, /*memory=*/nullptr,
+                                  /*use_memory=*/false),
+                winner);
+      ASSERT_EQ(swapping->commit_swap(batch[winner].a, batch[winner].b),
+                reference)
+          << "round " << round;
+      ASSERT_EQ(swapping->hpwl().total(), applying->hpwl().total());
+      ASSERT_TRUE(swapping->placement() == applying->placement());
+      ASSERT_EQ(swapping->checkpoint().wire_sums, sums) << "round " << round;
 
       for (const auto& [strategy, coordinator] : coordinators) {
         double shared_committed = 0.0;
@@ -802,8 +817,9 @@ TEST(PropertyFuzz, RunnerUpKernelForcedCases) {
 }
 
 // check_consistent() after every Evaluator path that commits or rebuilds:
-// commit_probe, commit_swap's promotion and its apply_swap fallback,
-// apply_swap, reset_placement, restore_checkpoint, and the periodic
+// commit_probe, commit_swap's promotion and its apply_swap fallback (for a
+// reversed pending pair and for a pair not pending at all), apply_swap,
+// reset_placement, restore_checkpoint, and the periodic
 // rebuild at rebuild_interval 1 and 3 (and the default, which never fires
 // here).
 TEST(PropertyFuzz, RunnerUpsConsistentAfterEveryCommitPath) {
@@ -846,7 +862,11 @@ TEST(PropertyFuzz, RunnerUpsConsistentAfterEveryCommitPath) {
           batch.push_back(pair());
         }
         eval.probe_batch(batch, costs);
-        eval.commit_swap(batch.back().b, batch.back().a);  // promotes
+        eval.commit_swap(batch.back().a, batch.back().b);  // promotes
+        eval.hpwl().check_consistent();
+
+        eval.probe_batch(batch, costs);
+        eval.commit_swap(batch.back().b, batch.back().a);  // reversed: applies
         eval.hpwl().check_consistent();
 
         eval.probe_batch(batch, costs);

@@ -807,8 +807,8 @@ TEST_F(DaemonTest, SchemaViolationsAnswerErrorsAndConnectionSurvives) {
 }
 
 TEST_F(DaemonTest, OutOfRangeGoalParametersAreRejectedAndDaemonKeepsServing) {
-  // Each value round-trips the codec, and FuzzyGoals::calibrate would abort
-  // on it in a session thread, so the daemon must refuse it at submit.
+  // Each value round-trips the codec, and the engine would abort on it in
+  // a session thread, so the daemon must refuse it at submit.
   auto client = connect();
   std::string error;
   ASSERT_TRUE(client.hello(&error).has_value()) << error;
@@ -831,6 +831,24 @@ TEST_F(DaemonTest, OutOfRangeGoalParametersAreRejectedAndDaemonKeepsServing) {
     EXPECT_FALSE(client.submit(bad, false, 0, &error).has_value()) << value;
     EXPECT_NE(error.find("invalid spec: cost.initial_membership must be in "
                          "[0, 1)"),
+              std::string::npos)
+        << error;
+  }
+  // These round-trip the codec too, and the engine would abort on the
+  // first two (a PTS_CHECK) and throw std::bad_alloc on the third.
+  JobRequest zero_tenure = job;
+  zero_tenure.spec.tabu.tenure = 0;
+  JobRequest zero_diversify_width = job;
+  zero_diversify_width.spec.engine = "parallel-sim";
+  zero_diversify_width.spec.parallel.diversify.width = 0;
+  JobRequest huge_depth = job;
+  huge_depth.spec.tabu.compound.depth = std::size_t{1} << 53;
+  for (const auto& [bad, message] :
+       {std::pair{zero_tenure, "tabu.tenure must be >= 1"},
+        std::pair{zero_diversify_width, "parallel.diversify.width must be >= 1"},
+        std::pair{huge_depth, "tabu.compound.depth must be <= 1048576"}}) {
+    EXPECT_FALSE(client.submit(bad, false, 0, &error).has_value()) << message;
+    EXPECT_NE(error.find(std::string("invalid spec: ") + message),
               std::string::npos)
         << error;
   }

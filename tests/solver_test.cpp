@@ -244,6 +244,64 @@ TEST(SolverValidate, RejectsOutOfRangeGoalParameters) {
   EXPECT_TRUE(std::isfinite(solver.solve(spec).best_cost));
 }
 
+// Each of these used to pass validate and then end the process inside the
+// engine: a PTS_CHECK on the tenure or the diversification width, or
+// std::bad_alloc from a buffer reserved at `depth` or `width`.
+TEST(SolverValidate, RejectsParametersTheEnginesAbortOn) {
+  const auto& nl = experiments::circuit("highway");
+  const Solver solver;
+  constexpr std::size_t kHuge = std::size_t{1} << 53;
+  constexpr std::size_t kMax = std::size_t{1} << 20;
+  struct Case {
+    const char* engine;
+    void (*edit)(SolveSpec&);
+    const char* error;  ///< nullptr: the spec is valid
+  };
+  const Case cases[] = {
+      {"tabu", [](SolveSpec& s) { s.tabu.tenure = 0; },
+       "tabu.tenure must be >= 1"},
+      {"parallel-sim", [](SolveSpec& s) { s.tabu.tenure = 0; },
+       "tabu.tenure must be >= 1"},
+      {"parallel-threaded", [](SolveSpec& s) { s.tabu.tenure = 0; },
+       "tabu.tenure must be >= 1"},
+      {"parallel-shared", [](SolveSpec& s) { s.tabu.tenure = 0; },
+       "tabu.tenure must be >= 1"},
+      {"parallel-sim", [](SolveSpec& s) { s.parallel.diversify.width = 0; },
+       "parallel.diversify.width must be >= 1"},
+      {"parallel-sim",
+       [](SolveSpec& s) {
+         s.parallel.diversify.width = 0;
+         s.parallel.diversify.enabled = false;
+       },
+       nullptr},
+      {"tabu", [](SolveSpec& s) { s.tabu.compound.depth = kHuge; },
+       "tabu.compound.depth must be <= 1048576"},
+      {"parallel-shared",
+       [](SolveSpec& s) { s.tabu.compound.width = kMax + 1; },
+       "tabu.compound.width must be <= 1048576"},
+      {"tabu", [](SolveSpec& s) { s.tabu.compound.width = kMax; }, nullptr},
+      {"parallel-sim", [](SolveSpec& s) { s.parallel.diversify.width = kHuge; },
+       "parallel.diversify.width must be <= 1048576"},
+      {"parallel-threaded",
+       [](SolveSpec& s) { s.parallel.diversify.depth = kHuge; },
+       "parallel.diversify.depth must be <= 1048576"},
+      {"local",
+       [](SolveSpec& s) { s.local.candidates_per_iteration = kMax + 1; },
+       "local.candidates_per_iteration must be <= 1048576"},
+  };
+  for (const Case& c : cases) {
+    auto spec = experiments::base_spec(nl, c.engine, 1, true);
+    c.edit(spec);
+    const auto errors = solver.validate(spec);
+    if (c.error == nullptr) {
+      EXPECT_TRUE(errors.empty()) << c.engine << ": " << errors[0];
+      continue;
+    }
+    ASSERT_EQ(errors.size(), 1u) << c.engine << ": " << c.error;
+    EXPECT_EQ(errors[0], c.error) << c.engine;
+  }
+}
+
 TEST(SolverValidateDeath, SolveRefusesInvalidSpec) {
   SolveSpec spec;
   spec.engine = "no-such-engine";
