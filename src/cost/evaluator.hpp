@@ -75,7 +75,7 @@ class Evaluator;
 /// sums, and the pending candidate (the last one probed, with its kept net
 /// states and HPWL delta). One per probing thread. Each probe writes its
 /// counters, so scratches probed by different threads at once must not
-/// share a cache line (parallel::SharedCompoundStrategy pads them).
+/// share a cache line (tabu::TrialPool pads them).
 class ProbeScratch {
  public:
   /// Sized for probing `eval`, so probing through it never allocates.

@@ -35,9 +35,7 @@ pvm::Message ClwReport::encode() const {
   msg.pack_u64(local_seq);
   pack_moves(msg, swaps);
   msg.pack_double(cost);
-  msg.pack_bool(was_forced);
   msg.pack_bool(improved_early);
-  msg.pack_double(work_units);
   return msg;
 }
 
@@ -46,9 +44,7 @@ ClwReport ClwReport::decode(pvm::Message& msg) {
   r.local_seq = msg.unpack_u64();
   r.swaps = unpack_moves(msg);
   r.cost = msg.unpack_double();
-  r.was_forced = msg.unpack_bool();
   r.improved_early = msg.unpack_bool();
-  r.work_units = msg.unpack_double();
   return r;
 }
 
@@ -58,8 +54,6 @@ pvm::Message TswReport::encode() const {
   msg.pack_double(best_cost);
   pack_slots(msg, best_slots);
   pack_moves(msg, tabu_entries);
-  msg.pack_bool(was_forced);
-  msg.pack_u64(local_iterations_done);
   msg.pack_u64(stat_iterations);
   msg.pack_u64(stat_accepted);
   msg.pack_u64(stat_rejected_tabu);
@@ -74,8 +68,6 @@ TswReport TswReport::decode(pvm::Message& msg) {
   r.best_cost = msg.unpack_double();
   r.best_slots = unpack_slots(msg);
   r.tabu_entries = unpack_moves(msg);
-  r.was_forced = msg.unpack_bool();
-  r.local_iterations_done = msg.unpack_u64();
   r.stat_iterations = msg.unpack_u64();
   r.stat_accepted = msg.unpack_u64();
   r.stat_rejected_tabu = msg.unpack_u64();
@@ -107,7 +99,6 @@ pvm::Message make_terminate() { return pvm::Message(kTagTerminate); }
 pvm::Message Broadcast::encode() const {
   pvm::Message msg(kTagBroadcast);
   msg.pack_u64(global_seq);
-  msg.pack_double(best_cost);
   pack_slots(msg, best_slots);
   pack_moves(msg, tabu_entries);
   return msg;
@@ -116,7 +107,6 @@ pvm::Message Broadcast::encode() const {
 Broadcast Broadcast::decode(pvm::Message& msg) {
   Broadcast b;
   b.global_seq = msg.unpack_u64();
-  b.best_cost = msg.unpack_double();
   b.best_slots = unpack_slots(msg);
   b.tabu_entries = unpack_moves(msg);
   return b;

@@ -50,9 +50,7 @@ struct ClwReport {
   std::uint64_t local_seq = 0;
   std::vector<tabu::Move> swaps;  ///< best (possibly cut) compound prefix
   double cost = 0.0;              ///< cost after applying `swaps`
-  bool was_forced = false;
   bool improved_early = false;
-  double work_units = 0.0;  ///< trials executed (diagnostics)
 
   pvm::Message encode() const;
   static ClwReport decode(pvm::Message& msg);
@@ -64,8 +62,6 @@ struct TswReport {
   double best_cost = 0.0;
   std::vector<netlist::CellId> best_slots;
   std::vector<tabu::Move> tabu_entries;
-  bool was_forced = false;
-  std::uint64_t local_iterations_done = 0;
   /// Cumulative search statistics (master merges the final report's).
   std::uint64_t stat_iterations = 0;
   std::uint64_t stat_accepted = 0;
@@ -90,7 +86,6 @@ pvm::Message make_terminate();
 /// master -> TSW: new global best for the next global iteration.
 struct Broadcast {
   std::uint64_t global_seq = 0;
-  double best_cost = 0.0;
   std::vector<netlist::CellId> best_slots;
   std::vector<tabu::Move> tabu_entries;
 

@@ -5,9 +5,11 @@
 // protocol is pure overhead. This engine instead runs the *sequential*
 // tabu search (TabuSearch, Figure 1) and parallelizes the one hot spot
 // every iteration has: the width-many candidate probes of each compound
-// level. Every thread probes the coordinator's one Evaluator — its
+// level. It hands its TabuSearch a tabu::TrialPool, so every level runs
+// the sequential tabu::commit_best_trial with its probes spread over the
+// pool: every thread probes the coordinator's one Evaluator — its
 // committed state is read-only during a level — through its own
-// ProbeScratch; trials are distributed with the atomic-counter
+// ProbeScratch, and trials are distributed with the atomic-counter
 // parallel-for in support/parallel_for.hpp (chunked grabs for cache
 // locality) instead of mailbox messages. See DESIGN.md §8.
 //
@@ -30,9 +32,9 @@
 //  3. The reduction runs on the coordinator in trial-index order with the
 //     sequential rule (tabu::select_best: first strict minimum wins) —
 //     reduction order is part of the API, exactly like summation order in
-//     the CSR layout (§7). The winner is committed through commit_swap,
-//     the sequential loop's commit, which applies it here: the probes stay
-//     pending in the threads' scratches, which nothing promotes.
+//     the CSR layout (§7). The winner is committed through commit_swap in
+//     the same commit_best_trial call, which applies it here: the probes
+//     stay pending in the threads' scratches, which nothing promotes.
 //
 // Thread count: a level is handed to the pool only when every thread gets
 // at least cost::kMinTrialsPerThread of its trials (two full probe
@@ -41,21 +43,17 @@
 // kMinTrialsPerThread)) threads — the movable-cell part mirrors the TSW/CLW
 // engines' worker clamp. Paper circuits (width 8) run on one thread,
 // scale10k (width 100) on up to 6 and scale50k (width 223) on up to 13. A
-// one-thread run is the sequential loop itself: no ThreadPool, no
-// SharedCompoundStrategy, no worker scratch. On more threads the workers
-// persist for the whole run (ThreadPool) and a level dispatches one
-// parallel region. Property 2 makes where a level runs invisible in the
-// result.
+// one-thread run is the sequential loop itself: no TrialPool, no worker
+// scratch. On more threads the workers persist for the whole run and a
+// level dispatches one parallel region. Property 2 makes where a level
+// runs invisible in the result.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "netlist/netlist.hpp"
 #include "parallel/config.hpp"
-#include "support/parallel_for.hpp"
 #include "support/run_control.hpp"
 #include "tabu/search.hpp"
 
@@ -81,40 +79,6 @@ struct SharedResult {
   tabu::SearchResult search;
   double makespan = 0.0;  ///< wall seconds
   std::size_t threads_used = 0;  ///< effective_threads(): after the clamp
-};
-
-/// The compound-level strategy SharedEngine installs into TabuSearch: the
-/// level's trials are probed across the pool against the coordinator's
-/// committed state, each thread through a scratch of its own, in about
-/// four chunks per thread. No thread writes into the Evaluator during a
-/// level, so none shares a cache line with the committed state the others
-/// read.
-class SharedCompoundStrategy final : public tabu::CompoundStrategy {
- public:
-  /// Scratches sized for probing `eval` (the evaluator commit_best_trial
-  /// will be given), one per pool thread.
-  SharedCompoundStrategy(ThreadPool& pool, const cost::Evaluator& eval);
-
-  /// One level: scores `moves` across the pool against `eval`'s committed
-  /// state, commits the tabu::select_best winner through commit_swap, and
-  /// returns its index; `*cost_out` receives the committed cost. The
-  /// parallel counterpart of tabu::commit_best_trial — same winner, same
-  /// committed state.
-  std::size_t commit_best_trial(cost::Evaluator& eval,
-                                std::span<const cost::Move> moves,
-                                const tabu::FrequencyMemory* memory,
-                                bool use_memory, double* cost_out) override;
-
- private:
-  /// A thread's scratch on cache lines of its own.
-  struct alignas(64) WorkerScratch {
-    explicit WorkerScratch(const cost::Evaluator& eval) : probe(eval) {}
-    cost::ProbeScratch probe;
-  };
-
-  ThreadPool* pool_;
-  std::vector<WorkerScratch> scratches_;  ///< one per pool thread
-  std::vector<double> costs_;             ///< level scratch: probed costs
 };
 
 class SharedEngine {

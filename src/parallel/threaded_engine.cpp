@@ -51,17 +51,14 @@ void clw_main(TaskContext& ctx, const SearchSetup& setup, tabu::CellRange range,
     }
 
     search.begin(*eval, algo_rng);
-    bool cut = false;
     while (!search.done()) {
       search.step();
       ctx.charge(level_work);
       if (ctx.probe(kTagForceReport)) {
         auto force = ctx.try_recv(kTagForceReport);
-        if (force && decode_force(*force) == req.local_seq) {
-          cut = true;
-          break;
-        }
-        // Stale force for an older iteration: drop and keep searching.
+        // A force for this iteration cuts it (result() is then the best
+        // prefix); a stale one for an older iteration is dropped.
+        if (force && decode_force(*force) == req.local_seq) break;
       }
     }
     const CompoundMove result = search.result();
@@ -69,9 +66,7 @@ void clw_main(TaskContext& ctx, const SearchSetup& setup, tabu::CellRange range,
     report.local_seq = req.local_seq;
     report.swaps = result.swaps;
     report.cost = result.cost;
-    report.was_forced = cut;
     report.improved_early = result.improved_early;
-    report.work_units = static_cast<double>(search.steps_taken());
     search.abandon();
     ctx.send(parent, report.encode());
   }
@@ -127,7 +122,6 @@ void tsw_main(TaskContext& ctx, const SearchSetup& setup, std::size_t tsw_index,
 
     bool master_forced = false;
     bool reset_clws = true;
-    std::size_t iterations_done = 0;
     for (std::size_t l = 0; l < cfg.local_iterations && !master_forced; ++l) {
       const std::uint64_t seq = static_cast<std::uint64_t>(g) *
                                     cfg.local_iterations +
@@ -187,7 +181,6 @@ void tsw_main(TaskContext& ctx, const SearchSetup& setup, std::size_t tsw_index,
       ctx.charge(cfg.sim.tsw_select_work * static_cast<double>(clws.size()));
       state.process_candidates(candidates);
       state.end_local_iteration(watch.seconds());
-      ++iterations_done;
     }
 
     TswReport report;
@@ -195,8 +188,6 @@ void tsw_main(TaskContext& ctx, const SearchSetup& setup, std::size_t tsw_index,
     report.best_cost = state.iteration_best_cost();
     report.best_slots = state.iteration_best_slots();
     report.tabu_entries = state.tabu_list().entries();
-    report.was_forced = master_forced;
-    report.local_iterations_done = iterations_done;
     const auto& stats = state.stats();
     report.stat_iterations = stats.iterations;
     report.stat_accepted = stats.accepted;
@@ -315,7 +306,6 @@ PtsResult ThreadedEngine::run(const RunControl& control) {
     if (!stop_now && g + 1 < cfg.global_iterations) {
       Broadcast bc;
       bc.global_seq = g;
-      bc.best_cost = global_best_cost;
       bc.best_slots = global_best_slots;
       bc.tabu_entries = global_best_tabu;
       for (TaskId tsw : tsws) master.send(tsw, bc.encode());

@@ -46,8 +46,6 @@ class ClwSearch {
  public:
   ClwSearch(tabu::CellRange range, tabu::CompoundParams params);
 
-  const tabu::CellRange& range() const { return range_; }
-
   /// Starts a new investigation from `eval`'s current solution.
   void begin(cost::Evaluator& eval, Rng& rng);
 
@@ -114,8 +112,6 @@ class TswState {
            const tabu::DiversifyParams& diversify_params,
            tabu::CellRange diversify_range, Rng rng);
 
-  cost::Evaluator& evaluator() { return *eval_; }
-  Rng& rng() { return rng_; }
   tabu::TabuList& tabu_list() { return list_; }
   const tabu::SearchStats& stats() const { return stats_; }
 

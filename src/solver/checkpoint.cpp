@@ -55,30 +55,20 @@ CheckpointedSolve run_tabu_segment(const SolveSpec& spec, const Checkpoint* from
 
   CheckpointedSolve out;
   SolveResult& res = out.result;
+  // stats_ is cumulative across restore (the checkpoint carries it), so the
+  // segment's result.stats already covers the whole run.
+  detail::map_search_result(res, std::move(r));
   res.engine = "tabu";
   res.initial_cost = initial_cost;
   res.makespan = base_elapsed + segment_seconds;
-  res.best_cost = r.best_cost;
-  res.best_quality = r.best_quality;
-  res.best_objectives = r.best_objectives;
-  res.best_slots = std::move(r.best_slots);
-  // stats_ is cumulative across restore (the checkpoint carries it), so the
-  // segment's result.stats already covers the whole run.
-  res.stats = r.stats;
-  res.iterations = r.stats.iterations;
-  res.stop_reason = r.stop_reason;
   if (from != nullptr) {
     // Iteration-indexed traces concatenate directly (the resumed loop
     // counts absolute iterations); the time trail shifts by the seconds the
     // interrupted run had already consumed.
-    res.cost_trace = splice(from->cost_trace, std::move(r.cost_trace));
-    res.best_trace = splice(from->best_trace, std::move(r.best_trace));
+    res.cost_trace = splice(from->cost_trace, std::move(res.cost_trace));
+    res.best_trace = splice(from->best_trace, std::move(res.best_trace));
     res.best_vs_time =
-        splice(from->best_vs_time, std::move(r.best_vs_time), base_elapsed);
-  } else {
-    res.cost_trace = std::move(r.cost_trace);
-    res.best_trace = std::move(r.best_trace);
-    res.best_vs_time = std::move(r.best_vs_time);
+        splice(from->best_vs_time, std::move(res.best_vs_time), base_elapsed);
   }
 
   Checkpoint& ck = out.checkpoint;

@@ -33,12 +33,26 @@ SequentialSetup make_sequential_setup(const SolveSpec& spec) {
   return setup;
 }
 
+void map_search_result(SolveResult& out, tabu::SearchResult&& r) {
+  out.best_cost = r.best_cost;
+  out.best_quality = r.best_quality;
+  out.best_objectives = r.best_objectives;
+  out.best_slots = std::move(r.best_slots);
+  out.cost_trace = std::move(r.cost_trace);
+  out.best_trace = std::move(r.best_trace);
+  out.best_vs_time = std::move(r.best_vs_time);
+  out.stats = r.stats;
+  out.iterations = r.stats.iterations;
+  out.stop_reason = r.stop_reason;
+}
+
 }  // namespace detail
 
 namespace {
 
 using detail::SequentialSetup;
 using detail::make_sequential_setup;
+using detail::map_search_result;
 
 /// Snapshot of the evaluator's current solution into the best_* fields.
 void fill_best_from(SolveResult& out, const cost::Evaluator& eval) {
@@ -88,6 +102,15 @@ void validate_at_most_max_trials(std::size_t value, const char* name,
   }
 }
 
+/// The most worker threads or tasks one spec may ask for: parallel-shared's
+/// `shared.threads`, and the TSW/CLW engines' num_tsws * (1 + clws_per_tsw)
+/// tasks (parallel-threaded runs each on a thread of its own, parallel-sim
+/// keeps an evaluator per TSW and a CLW state per task). The engines clamp
+/// counts only to the movable cells, and ptsd serves every engine, so a
+/// count from the wire needs a bound of its own. The largest counts in the
+/// tree are 806 tasks and 64 threads.
+constexpr std::size_t kMaxWorkers = 1024;
+
 void validate_tabu_params(const tabu::TabuParams& params,
                           std::vector<std::string>& errors) {
   if (params.tenure < 1) errors.push_back("tabu.tenure must be >= 1");
@@ -131,16 +154,7 @@ class TabuEngine final : public Engine {
     const Stopwatch watch;
     auto r = search.run(RunControl{spec.stop, spec.observer});
     out.makespan = watch.seconds();
-    out.best_cost = r.best_cost;
-    out.best_quality = r.best_quality;
-    out.best_objectives = r.best_objectives;
-    out.best_slots = std::move(r.best_slots);
-    out.cost_trace = std::move(r.cost_trace);
-    out.best_trace = std::move(r.best_trace);
-    out.best_vs_time = std::move(r.best_vs_time);
-    out.stats = r.stats;
-    out.iterations = r.stats.iterations;
-    out.stop_reason = r.stop_reason;
+    map_search_result(out, std::move(r));
     return out;
   }
 };
@@ -332,6 +346,10 @@ class ParallelSharedEngine final : public Engine {
     if (spec.shared.threads < 1) {
       errors.push_back("shared.threads must be >= 1");
     }
+    if (spec.shared.threads > kMaxWorkers) {
+      errors.push_back("shared.threads must be <= " +
+                       std::to_string(kMaxWorkers));
+    }
     if (!spec.initial_slots.empty()) {
       errors.push_back(
           "engine 'parallel-shared' does not support warm start "
@@ -352,17 +370,8 @@ class ParallelSharedEngine final : public Engine {
     auto r = engine.run(RunControl{spec.stop, spec.observer});
     SolveResult out;
     out.initial_cost = r.initial_cost;
-    out.best_cost = r.search.best_cost;
-    out.best_quality = r.search.best_quality;
-    out.best_objectives = r.search.best_objectives;
-    out.best_slots = std::move(r.search.best_slots);
-    out.cost_trace = std::move(r.search.cost_trace);
-    out.best_trace = std::move(r.search.best_trace);
-    out.best_vs_time = std::move(r.search.best_vs_time);
-    out.stats = r.search.stats;
-    out.iterations = r.search.stats.iterations;
+    map_search_result(out, std::move(r.search));
     out.makespan = r.makespan;
-    out.stop_reason = r.search.stop_reason;
     return out;
   }
 };
@@ -378,6 +387,13 @@ void validate_parallel(const SolveSpec& spec,
   if (p.num_tsws < 1) errors.push_back("parallel.num_tsws must be >= 1");
   if (p.clws_per_tsw < 1) {
     errors.push_back("parallel.clws_per_tsw must be >= 1");
+  }
+  // Each factor first, so the product cannot overflow.
+  if (p.num_tsws > kMaxWorkers || p.clws_per_tsw > kMaxWorkers ||
+      p.num_tsws * (1 + p.clws_per_tsw) > kMaxWorkers) {
+    errors.push_back(
+        "parallel.num_tsws * (1 + parallel.clws_per_tsw) must be <= " +
+        std::to_string(kMaxWorkers));
   }
   if (p.local_iterations < 1) {
     errors.push_back("parallel.local_iterations must be >= 1");

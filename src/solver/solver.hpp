@@ -205,6 +205,12 @@ using SequentialSetup = cost::EvaluatorSetup;
 
 SequentialSetup make_sequential_setup(const SolveSpec& spec);
 
+/// Moves a TabuSearch result into `out`: best solution, traces, stats,
+/// iterations and stop reason. The one mapping of tabu::SearchResult,
+/// shared by the tabu and parallel-shared engines and the checkpoint
+/// runner (which splices resumed traces afterwards).
+void map_search_result(SolveResult& out, tabu::SearchResult&& r);
+
 /// Empty when `slots` holds every movable cell of `nl` exactly once — a
 /// slot vector Placement::assign_slots accepts; otherwise the reason,
 /// naming the vector `what`. Shared by Solver::validate (warm-start seeds)

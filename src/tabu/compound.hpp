@@ -7,11 +7,20 @@
 // reaching max depth, the compound move is accepted immediately without
 // further investigation (early accept).
 //
+// A level is one commit_best_trial call wherever it runs: in the sequential
+// search, in a CLW, in diversification, or in the parallel-shared engine,
+// which passes a TrialPool so the level's probes run on several threads.
+// The pool changes who probes, never what is sampled, selected or committed.
+//
 // On return the evaluator HAS the compound move applied; undo_compound()
 // reverts it (swaps are involutions, so undo re-applies them in reverse).
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "cost/evaluator.hpp"
+#include "support/parallel_for.hpp"
 #include "support/rng.hpp"
 #include "tabu/candidate.hpp"
 #include "tabu/frequency.hpp"
@@ -35,62 +44,75 @@ std::size_t select_best(std::span<const cost::Move> moves,
                         std::span<const double> costs,
                         const FrequencyMemory* memory, bool use_memory);
 
-/// Scores `moves` into `costs` through Evaluator::probe_batch in chunks of
-/// cost::kProbeBatchWidth — the trial loop of every best-of-N level. The
-/// costs do not depend on the chunking; the last move stays pending.
-void probe_trials(cost::Evaluator& eval, std::span<const cost::Move> moves,
-                  std::span<double> costs);
+class TrialPool;
 
-/// Scores `moves` (probe_trials), commits the select_best winner through
-/// Evaluator::commit_swap and returns its index; `*cost_out` receives the
-/// committed cost. The committed state is exactly apply_swap(winner)'s.
+/// Scores `moves` into `costs` through Evaluator::probe_batch in chunks of
+/// cost::kProbeBatchWidth — the trial loop of every best-of-N level. With
+/// no `pool` the chunks run through the evaluator's own scratch and the
+/// last move stays pending there; with one, threads claim runs of
+/// max(1, size / (threads * 4)) moves and chunk each through their own
+/// scratch, which nothing promotes. The costs depend on neither.
+void probe_trials(cost::Evaluator& eval, std::span<const cost::Move> moves,
+                  std::span<double> costs, TrialPool* pool = nullptr);
+
+/// Scores `moves` (probe_trials, on `pool` when given), commits the
+/// select_best winner through Evaluator::commit_swap and returns its index;
+/// `*cost_out` receives the committed cost. The committed state is exactly
+/// apply_swap(winner)'s: commit_swap promotes a winner pending in the
+/// evaluator's own scratch and applies any other. The one score, select
+/// and commit of every compound and diversification level.
 std::size_t commit_best_trial(cost::Evaluator& eval,
                               std::span<const cost::Move> moves,
                               const FrequencyMemory* memory, bool use_memory,
-                              double* cost_out);
+                              double* cost_out, TrialPool* pool = nullptr);
 
-/// How a compound level scores its sampled trials and commits the winner:
-/// the seam where the shared-memory engine substitutes probing on a thread
-/// pool for commit_best_trial(), which runs when no strategy is given. An
-/// implementation must return commit_best_trial()'s winner (first strict
-/// minimum in trial-index order) and leave the evaluator exactly as
-/// apply_swap(winner) would. Sampling stays in the caller, so RNG
-/// consumption cannot depend on the strategy — together these keep every
-/// TabuSearch guarantee (same-seed determinism, trace parity) independent
-/// of it.
-class CompoundStrategy {
+/// Threads that probe one level's trials together, each through a
+/// cost::ProbeScratch of its own on cache lines of its own, against the
+/// committed state of the evaluator it was sized for. A worker writes only
+/// its scratch and its claimed costs, so no thread shares a cache line with
+/// the committed state the others read. Worker 0 is the calling thread.
+class TrialPool {
  public:
-  virtual ~CompoundStrategy() = default;
-  virtual std::size_t commit_best_trial(cost::Evaluator& eval,
-                                        std::span<const cost::Move> moves,
-                                        const FrequencyMemory* memory,
-                                        bool use_memory, double* cost_out) = 0;
+  /// Starts `threads - 1` workers; scratches are sized for probing `eval`.
+  TrialPool(std::size_t threads, const cost::Evaluator& eval);
+
+ private:
+  friend void probe_trials(cost::Evaluator&, std::span<const cost::Move>,
+                           std::span<double>, TrialPool*);
+
+  struct alignas(64) WorkerScratch {
+    explicit WorkerScratch(const cost::Evaluator& eval) : probe(eval) {}
+    cost::ProbeScratch probe;
+  };
+
+  std::vector<WorkerScratch> scratches_;  ///< one per pool thread
+  ThreadPool pool_;  ///< after the scratches: joined before they go
 };
 
 /// Samples `width` trial pairs from (movable, range, rng) and commits the
-/// best through `strategy` (commit_best_trial when null); returns the
-/// committed swap and writes its cost to `*cost_out`. One level of every
-/// compound move (the sequential search's and the CLW's) and every
-/// diversification move; uses thread_local scratch, so steady state does
-/// not allocate.
+/// best through commit_best_trial (probing on `pool` when given); returns
+/// the committed swap and writes its cost to `*cost_out`. One level of
+/// every compound move (the sequential search's and the CLW's) and every
+/// diversification move. Sampling happens here, before any probe, so RNG
+/// consumption does not depend on the pool; uses thread_local scratch, so
+/// steady state does not allocate.
 Move commit_best_of_trials(cost::Evaluator& eval,
                            std::span<const netlist::CellId> movable,
                            const CellRange& range, std::size_t width, Rng& rng,
                            const FrequencyMemory* memory, bool use_memory,
-                           double* cost_out,
-                           CompoundStrategy* strategy = nullptr);
+                           double* cost_out, TrialPool* pool = nullptr);
 
 /// Builds and applies a compound move on `eval`, sampling first cells from
 /// `range`, writing the applied swaps and final cost into `*out` (cleared
-/// first); each level commits through `strategy` (commit_best_trial when
-/// null). Callers that run every iteration (TabuSearch) pass a reused
+/// first); each level commits through commit_best_trial, probing on `pool`
+/// when given. Callers that run every iteration (TabuSearch) pass a reused
 /// member buffer so the steady state does not allocate. When `memory` is
 /// non-null and active, per-level trial ranking uses the long-term
 /// frequency adjustment (true costs are still what the move reports).
 void build_compound_move(cost::Evaluator& eval, const CellRange& range,
                          const CompoundParams& params, Rng& rng,
                          const FrequencyMemory* memory, CompoundMove* out,
-                         CompoundStrategy* strategy = nullptr);
+                         TrialPool* pool = nullptr);
 
 /// Convenience wrapper returning a fresh CompoundMove.
 CompoundMove build_compound_move(cost::Evaluator& eval, const CellRange& range,

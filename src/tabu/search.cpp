@@ -15,7 +15,8 @@ void record_compound(TabuList& list, const CompoundMove& move) {
   for (const Move& swap : move.swaps) list.record(swap);
 }
 
-TabuSearch::TabuSearch(cost::Evaluator& eval, const TabuParams& params, Rng rng)
+TabuSearch::TabuSearch(cost::Evaluator& eval, const TabuParams& params, Rng rng,
+                       TrialPool* pool)
     : eval_(&eval),
       params_(params),
       rng_(rng),
@@ -24,7 +25,8 @@ TabuSearch::TabuSearch(cost::Evaluator& eval, const TabuParams& params, Rng rng)
       best_cost_(eval.cost()),
       best_quality_(eval.quality()),
       best_objectives_(eval.objectives()),
-      best_slots_(eval.placement().slots()) {}
+      best_slots_(eval.placement().slots()),
+      pool_(pool) {}
 
 void TabuSearch::update_best() {
   const double cost = eval_->cost();
@@ -35,8 +37,6 @@ void TabuSearch::update_best() {
     best_slots_ = eval_->placement().slots();
   }
 }
-
-void TabuSearch::note_external_solution() { update_best(); }
 
 TabuSearch::State TabuSearch::state() const {
   State st;
@@ -68,7 +68,7 @@ bool TabuSearch::iterate(const CellRange& range) {
   // `move_scratch_` is reused across iterations so the steady-state loop
   // does not allocate (stress_test pins this at 50k gates).
   build_compound_move(*eval_, range, params_.compound, rng_, &frequency_,
-                      &move_scratch_, strategy_);
+                      &move_scratch_, pool_);
   const CompoundMove& move = move_scratch_;
   // Each built level probed `width` trials (early accept skips the rest).
   stats_.trials += params_.compound.width * move.swaps.size();

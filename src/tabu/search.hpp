@@ -9,7 +9,9 @@
 // iteration counts as unproductive.
 //
 // The same engine runs standalone (this header's TabuSearch::run) and as
-// the inner loop of every TSW in the parallel engines.
+// the coordinator of the parallel-shared engine, which passes a TrialPool
+// so each level's probes run on several threads. The TSWs of the
+// message-passing engines run the same test through parallel::TswState.
 #pragma once
 
 #include <vector>
@@ -85,7 +87,10 @@ void record_compound(TabuList& list, const CompoundMove& move);
 class TabuSearch {
  public:
   /// The evaluator carries the current solution; the search mutates it.
-  TabuSearch(cost::Evaluator& eval, const TabuParams& params, Rng rng);
+  /// With a `pool` (not owned; sized for `eval`), every compound level
+  /// probes its trials on the pool's threads; the trajectory is the same.
+  TabuSearch(cost::Evaluator& eval, const TabuParams& params, Rng rng,
+             TrialPool* pool = nullptr);
 
   /// Runs `params.iterations` iterations over the full cell range.
   SearchResult run();
@@ -96,21 +101,12 @@ class TabuSearch {
   /// is bit-identical to run().
   SearchResult run(const RunControl& control);
 
-  /// One tabu iteration restricted to `range`; used by the parallel TSWs.
-  /// Returns true if the compound move was accepted.
+  /// One tabu iteration restricted to `range`; run() calls it over the
+  /// full range. Returns true if the compound move was accepted.
   bool iterate(const CellRange& range);
 
-  double best_cost() const { return best_cost_; }
-  const std::vector<netlist::CellId>& best_slots() const { return best_slots_; }
-  const SearchStats& stats() const { return stats_; }
   TabuList& tabu_list() { return list_; }
   const FrequencyMemory& frequency_memory() const { return frequency_; }
-  cost::Evaluator& evaluator() { return *eval_; }
-  Rng& rng() { return rng_; }
-
-  /// Re-syncs the best-so-far bookkeeping after the caller replaced the
-  /// evaluator's solution (broadcast of a new global best).
-  void note_external_solution();
 
   /// Complete search-side state for checkpoint/restore: RNG stream, tabu
   /// list, long-term memory, best-so-far bookkeeping, and counters. The
@@ -133,14 +129,6 @@ class TabuSearch {
   /// exact trajectory the interrupted run would have produced.
   void restore(const State& st);
 
-  /// Overrides how iterate() scores and commits each compound level (not
-  /// owned; null restores tabu::commit_best_trial). A tabu-rejected move is
-  /// reverted with undo_compound whatever the strategy. See
-  /// CompoundStrategy (tabu/compound.hpp) for the contract.
-  void set_compound_strategy(CompoundStrategy* strategy) {
-    strategy_ = strategy;
-  }
-
  private:
   void update_best();
 
@@ -155,7 +143,7 @@ class TabuSearch {
   std::vector<netlist::CellId> best_slots_;
   SearchStats stats_;
   CompoundMove move_scratch_;  ///< reused per-iteration move buffer
-  CompoundStrategy* strategy_ = nullptr;  ///< not owned; null = default
+  TrialPool* pool_;  ///< not owned; null probes on the calling thread
 };
 
 }  // namespace pts::tabu

@@ -53,7 +53,6 @@
 
 #include "cost/evaluator.hpp"
 #include "netlist/generator.hpp"
-#include "parallel/shared_engine.hpp"
 #include "service/codec.hpp"
 #include "solver/checkpoint.hpp"
 #include "placement/hpwl.hpp"
@@ -434,8 +433,9 @@ TEST(PropertyFuzz, ProbeBatchMatchesApplyBitForBit) {
 // orientations usually score the same, so the pair wins the
 // first-strict-min tie while a reversed probe is the pending one — on the
 // sequential loop's evaluator, on an evaluator that commits the winner
-// through Evaluator::commit_swap directly, and in the parallel-shared
-// threads' scratches whichever chunks they claimed. All three must still
+// through Evaluator::commit_swap directly, and in the scratches of a
+// TrialPool's threads (parallel-shared's levels) whichever chunks they
+// claimed. All three must still
 // land on apply_swap(winner) exactly. The two orientations fold the same
 // net changes into the path sums in different orders, so promoting the
 // pending probe would leave the sums an ulp off wherever that order
@@ -448,22 +448,20 @@ TEST(PropertyFuzz, ReversedDuplicateWinnerIsAppliedNotPromoted) {
     const Netlist nl = netlist::generate_circuit(config);
     const placement::Layout layout(nl);
     // One solution under five evaluators: the sequential loop's, one
-    // committed through commit_swap, the parallel-shared coordinator probed
-    // by one thread and by three, and an apply-only twin.
+    // committed through commit_swap, a parallel-shared coordinator probed
+    // by a pool of one thread and one probed by a pool of three, and an
+    // apply-only twin.
     const std::uint64_t seed = config.seed ^ 0x2E5EULL;
     auto sequential = make_eval(nl, layout, seed);
     auto swapping = make_eval(nl, layout, seed);
     auto applying = make_eval(nl, layout, seed);
     auto shared_one_eval = make_eval(nl, layout, seed);
     auto shared_three_eval = make_eval(nl, layout, seed);
-    ThreadPool pool_one(1);
-    ThreadPool pool_three(3);
-    parallel::SharedCompoundStrategy shared_one(pool_one, *shared_one_eval);
-    parallel::SharedCompoundStrategy shared_three(pool_three,
-                                                  *shared_three_eval);
-    const std::pair<parallel::SharedCompoundStrategy*, cost::Evaluator*>
-        coordinators[] = {{&shared_one, shared_one_eval.get()},
-                          {&shared_three, shared_three_eval.get()}};
+    tabu::TrialPool pool_one(1, *shared_one_eval);
+    tabu::TrialPool pool_three(3, *shared_three_eval);
+    const std::pair<tabu::TrialPool*, cost::Evaluator*> coordinators[] = {
+        {&pool_one, shared_one_eval.get()},
+        {&pool_three, shared_three_eval.get()}};
 
     const cost::CostParams params;
     const auto paths =
@@ -521,12 +519,12 @@ TEST(PropertyFuzz, ReversedDuplicateWinnerIsAppliedNotPromoted) {
       ASSERT_TRUE(swapping->placement() == applying->placement());
       ASSERT_EQ(swapping->checkpoint().wire_sums, sums) << "round " << round;
 
-      for (const auto& [strategy, coordinator] : coordinators) {
+      for (const auto& [pool, coordinator] : coordinators) {
         double shared_committed = 0.0;
-        ASSERT_EQ(strategy->commit_best_trial(*coordinator, batch,
-                                              /*memory=*/nullptr,
-                                              /*use_memory=*/false,
-                                              &shared_committed),
+        ASSERT_EQ(tabu::commit_best_trial(*coordinator, batch,
+                                          /*memory=*/nullptr,
+                                          /*use_memory=*/false,
+                                          &shared_committed, pool),
                   winner);
         ASSERT_EQ(shared_committed, reference) << "round " << round;
         ASSERT_EQ(coordinator->hpwl().total(), applying->hpwl().total());

@@ -835,7 +835,8 @@ TEST_F(DaemonTest, OutOfRangeGoalParametersAreRejectedAndDaemonKeepsServing) {
         << error;
   }
   // These round-trip the codec too, and the engine would abort on the
-  // first two (a PTS_CHECK) and throw std::bad_alloc on the third.
+  // first two (a PTS_CHECK) and throw std::bad_alloc on the third; the
+  // last two would start about a million worker threads.
   JobRequest zero_tenure = job;
   zero_tenure.spec.tabu.tenure = 0;
   JobRequest zero_diversify_width = job;
@@ -843,10 +844,21 @@ TEST_F(DaemonTest, OutOfRangeGoalParametersAreRejectedAndDaemonKeepsServing) {
   zero_diversify_width.spec.parallel.diversify.width = 0;
   JobRequest huge_depth = job;
   huge_depth.spec.tabu.compound.depth = std::size_t{1} << 53;
+  JobRequest many_tasks = job;
+  many_tasks.spec.engine = "parallel-threaded";
+  many_tasks.spec.parallel.num_tsws = 1000000;
+  many_tasks.spec.parallel.clws_per_tsw = 1000000;
+  JobRequest many_threads = job;
+  many_threads.spec.engine = "parallel-shared";
+  many_threads.spec.shared.threads = 1000000;
   for (const auto& [bad, message] :
        {std::pair{zero_tenure, "tabu.tenure must be >= 1"},
         std::pair{zero_diversify_width, "parallel.diversify.width must be >= 1"},
-        std::pair{huge_depth, "tabu.compound.depth must be <= 1048576"}}) {
+        std::pair{huge_depth, "tabu.compound.depth must be <= 1048576"},
+        std::pair{many_tasks,
+                  "parallel.num_tsws * (1 + parallel.clws_per_tsw) must be "
+                  "<= 1024"},
+        std::pair{many_threads, "shared.threads must be <= 1024"}}) {
     EXPECT_FALSE(client.submit(bad, false, 0, &error).has_value()) << message;
     EXPECT_NE(error.find(std::string("invalid spec: ") + message),
               std::string::npos)

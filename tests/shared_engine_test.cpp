@@ -6,6 +6,8 @@
 //  2. The cost trajectory is independent of the thread count (the engine's
 //     determinism contract is stronger than per-thread-count determinism),
 //     and a fixed thread count is trivially deterministic run to run.
+//     Both pins hold with the long-term frequency memory off and on, since
+//     the memory ranks each level's pooled trials by an adjusted cost.
 //  3. Run control behaves like every other engine: pre-cancelled tokens
 //     stop before iteration 1, iteration budgets truncate bit-identically,
 //     observers see every iteration without perturbing the run.
@@ -63,6 +65,11 @@ parallel::SharedConfig shared_config(const SolveSpec& spec) {
   return config;
 }
 
+/// Frequency-memory modes the thread-count pins run under.
+constexpr tabu::LongTermMode kMemoryModes[] = {tabu::LongTermMode::Off,
+                                               tabu::LongTermMode::Diversify,
+                                               tabu::LongTermMode::Intensify};
+
 /// The threads the engine runs `spec` on.
 std::size_t effective_threads(const SolveSpec& spec) {
   return parallel::SharedEngine(*spec.netlist, shared_config(spec))
@@ -99,13 +106,18 @@ void expect_identical_outcome(const SolveResult& a, const SolveResult& b) {
 
 TEST(SharedEngine, OneThreadMatchesSequentialTabuBitForBit) {
   for (const char* name : {"highway", "c532"}) {
-    SCOPED_TRACE(name);
-    const auto& nl = experiments::circuit(name);
-    SolveSpec tabu_spec = shared_spec(nl, 1);
-    tabu_spec.engine = "tabu";
-    const auto sequential = Solver().solve(tabu_spec);
-    const auto shared = Solver().solve(shared_spec(nl, 1));
-    expect_identical_outcome(sequential, shared);
+    for (const tabu::LongTermMode mode : kMemoryModes) {
+      SCOPED_TRACE(std::string(name) + " frequency mode " +
+                   std::to_string(static_cast<int>(mode)));
+      const auto& nl = experiments::circuit(name);
+      SolveSpec spec = shared_spec(nl, 1);
+      spec.tabu.frequency.mode = mode;
+      SolveSpec tabu_spec = spec;
+      tabu_spec.engine = "tabu";
+      const auto sequential = Solver().solve(tabu_spec);
+      const auto shared = Solver().solve(spec);
+      expect_identical_outcome(sequential, shared);
+    }
   }
 }
 
@@ -128,13 +140,26 @@ TEST(SharedEngine, TrajectoryIndependentOfThreadCount) {
   // coordinator, probes are state-independent, and the reduction order is
   // fixed, so 2- and 4-thread runs retrace the 1-thread run exactly.
   const auto& nl = experiments::circuit("c532");
-  const auto one = Solver().solve(pool_spec(nl, 1));
-  for (std::size_t threads : {2u, 4u}) {
-    SCOPED_TRACE(threads);
-    const SolveSpec spec = pool_spec(nl, threads);
-    ASSERT_EQ(effective_threads(spec), threads);
-    const auto many = Solver().solve(spec);
-    expect_identical_outcome(one, many);
+  std::vector<double> memory_off_trace;
+  for (const tabu::LongTermMode mode : kMemoryModes) {
+    SolveSpec one_spec = pool_spec(nl, 1);
+    one_spec.tabu.frequency.mode = mode;
+    const auto one = Solver().solve(one_spec);
+    if (mode == tabu::LongTermMode::Off) {
+      memory_off_trace = one.cost_trace.y;
+    } else {
+      EXPECT_NE(one.cost_trace.y, memory_off_trace)
+          << "the memory moved no trajectory, so it pins nothing";
+    }
+    for (std::size_t threads : {2u, 4u}) {
+      SCOPED_TRACE("frequency mode " + std::to_string(static_cast<int>(mode)) +
+                   ", " + std::to_string(threads) + " threads");
+      SolveSpec spec = one_spec;
+      spec.shared.threads = threads;
+      ASSERT_EQ(effective_threads(spec), threads);
+      const auto many = Solver().solve(spec);
+      expect_identical_outcome(one, many);
+    }
   }
 }
 

@@ -252,6 +252,8 @@ TEST(SolverValidate, RejectsParametersTheEnginesAbortOn) {
   const Solver solver;
   constexpr std::size_t kHuge = std::size_t{1} << 53;
   constexpr std::size_t kMax = std::size_t{1} << 20;
+  constexpr const char* kTooManyTasks =
+      "parallel.num_tsws * (1 + parallel.clws_per_tsw) must be <= 1024";
   struct Case {
     const char* engine;
     void (*edit)(SolveSpec&);
@@ -288,6 +290,41 @@ TEST(SolverValidate, RejectsParametersTheEnginesAbortOn) {
       {"local",
        [](SolveSpec& s) { s.local.candidates_per_iteration = kMax + 1; },
        "local.candidates_per_iteration must be <= 1048576"},
+      // Worker bounds: validated only, never run.
+      {"parallel-threaded",
+       [](SolveSpec& s) {
+         s.parallel.num_tsws = 1000000;
+         s.parallel.clws_per_tsw = 1000000;
+       },
+       kTooManyTasks},
+      {"parallel-sim",
+       [](SolveSpec& s) {
+         s.parallel.num_tsws = 1000000;
+         s.parallel.clws_per_tsw = 1000000;
+       },
+       kTooManyTasks},
+      {"parallel-sim",  // 2^63 * 2 wraps to 0 unless each factor is bounded
+       [](SolveSpec& s) {
+         s.parallel.num_tsws = std::size_t{1} << 63;
+         s.parallel.clws_per_tsw = 1;
+       },
+       kTooManyTasks},
+      {"parallel-threaded",
+       [](SolveSpec& s) {
+         s.parallel.num_tsws = 342;
+         s.parallel.clws_per_tsw = 2;
+       },
+       kTooManyTasks},
+      {"parallel-threaded",
+       [](SolveSpec& s) {
+         s.parallel.num_tsws = 512;
+         s.parallel.clws_per_tsw = 1;
+       },
+       nullptr},
+      {"parallel-shared", [](SolveSpec& s) { s.shared.threads = 1000000; },
+       "shared.threads must be <= 1024"},
+      {"parallel-shared", [](SolveSpec& s) { s.shared.threads = 1024; },
+       nullptr},
   };
   for (const Case& c : cases) {
     auto spec = experiments::base_spec(nl, c.engine, 1, true);

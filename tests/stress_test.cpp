@@ -28,9 +28,7 @@
 #include "experiments/workloads.hpp"
 #include "netlist/analysis.hpp"
 #include "netlist/benchmarks.hpp"
-#include "parallel/shared_engine.hpp"
 #include "solver/solver.hpp"
-#include "support/parallel_for.hpp"
 #include "tabu/compound.hpp"
 #include "tabu/diversify.hpp"
 
@@ -164,10 +162,8 @@ TEST(Stress, DiversifyAndCompoundBuffersAllocationFreeAt50k) {
   Rng rng(29);
   // parallel-shared's compound levels at one and three threads: one
   // parallel region per level, probing through per-thread scratch.
-  ThreadPool pool_one(1);
-  ThreadPool pool_three(3);
-  parallel::SharedCompoundStrategy shared_one(pool_one, *eval);
-  parallel::SharedCompoundStrategy shared_three(pool_three, *eval);
+  tabu::TrialPool pool_one(1, *eval);
+  tabu::TrialPool pool_three(3, *eval);
 
   std::vector<tabu::Move> div_scratch;
   tabu::CompoundMove comp_scratch;
@@ -176,9 +172,9 @@ TEST(Stress, DiversifyAndCompoundBuffersAllocationFreeAt50k) {
     tabu::build_compound_move(*eval, range, comp_params, rng, nullptr,
                               &comp_scratch);
     tabu::build_compound_move(*eval, range, comp_params, rng, nullptr,
-                              &comp_scratch, &shared_one);
+                              &comp_scratch, &pool_one);
     tabu::build_compound_move(*eval, range, comp_params, rng, nullptr,
-                              &comp_scratch, &shared_three);
+                              &comp_scratch, &pool_three);
   };
   round();  // warm-up
 
